@@ -13,8 +13,7 @@ from .environment import EnvironmentSpec, OffspringDistribution
 from .errors import ConfigError
 from .kernel import GeneratorSet, StepDistribution
 from .presets import get_preset
-
-COUNT_CAP_DEFAULT = 2 ** 63 - 1
+from .simulator import COUNT_CAP_DEFAULT
 
 _RUN_DEFAULTS = {
     "seed": 0,

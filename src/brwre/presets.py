@@ -52,7 +52,7 @@ def drift_pair_z1():
 
 def strong_drift_pair():
     """Two strong drifts, transient with a wide margin (m* = 1.5 vs 1.667)."""
-    return _build(_z1((0.95, 0.05), (0.9, 0.1)), {1: 0.5, 2: 0.5})
+    return _build(_z1((0.94, 0.06), (0.9, 0.1)), {1: 0.5, 2: 0.5})
 
 
 def nn_z2():

@@ -1,14 +1,25 @@
-"""Exact-count Monte Carlo of branching walks, with and without a frozen origin.
+"""Exact-count Monte Carlo of branching walks on a ranked window.
 
-Particles at one site are exchangeable, so a site's branching step is a
-single multinomial draw over the offspring support and the dispersal of the
-offspring total is a multinomial draw over the step law. This aggregated
-sampling is exact in distribution and survives population sizes that kill
-per-particle simulation. Counts are 64-bit integers; a site whose count
-would overflow the (configurable) cap is clamped and the run is marked
-saturated. Bulk counts then become lower bounds, while origin tallies in
-the transient regime stay effectively exact because the clamped mass sits
-far from the origin.
+A run's state is a dense array of particle counts of shape
+``(ranks, *window)``. The window is a box of Z^d whose lower corner ``lo``
+travels with the array; the leading axis is the return rank, the number of
+times a particle's ancestry line has arrived at the origin. Particles with
+the same site and rank are exchangeable, so a (rank, site)'s branching step
+is a single multinomial draw over the offspring support and the dispersal
+of its offspring total is a multinomial draw over the step law. This
+aggregated sampling is exact in distribution and survives population sizes
+that kill per-particle simulation.
+
+One origin rule serves every process: after dispersal, arrivals at the
+origin in rank r move to rank r + 1, and arrivals in the top rank leave the
+window and are tallied. With one rank this is the frozen-origin process;
+with G ranks it is the embedded return process observed for G generations;
+without an origin it is the plain process.
+
+Counts are 64-bit integers; a (rank, site) count that would overflow the
+(configurable) cap is clamped and the run is marked saturated. Bulk counts
+then become lower bounds, while origin tallies in the transient regime
+stay effectively exact because the clamped mass sits far from the origin.
 
 Every replicate's randomness is a pure function of (master seed, replicate
 index), so runs replay bitwise and replicates can be farmed out in any
@@ -57,6 +68,27 @@ class NuEstimate:
     horizon: int
     reliable: bool = True
 
+    @classmethod
+    def from_records(cls, records):
+        """Reduce ``replicate_records`` output to the sample mean and its error.
+
+        Saturated replicates are counted and reported; their tallies still
+        enter the mean (saturation clamps bulk counts far from the origin, so
+        the origin tally is unaffected in the transient regime). The estimate
+        is flagged unreliable when more than 1% of runs saturate.
+        """
+        n = len(records)
+        values = np.fromiter((r["nu_observed"] for r in records), dtype=float, count=n)
+        saturated_runs = sum(r["saturated"] for r in records)
+        return cls(
+            mean=float(values.mean()),
+            std_error=float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+            replicates=n,
+            saturated_runs=saturated_runs,
+            horizon=records[0]["horizon"],
+            reliable=saturated_runs <= 0.01 * n,
+        )
+
 
 @dataclass
 class BmcStarResult:
@@ -77,7 +109,8 @@ class GwObservation:
     """Generation sizes of the embedded return process from one run.
 
     ``z[r - 1]`` counts the particles that were the r-th in their ancestry
-    line to return to the origin within the horizon.
+    line to return to the origin within the horizon. ``truncated`` marks a
+    run in which some count was clamped at the cap.
     """
 
     z: np.ndarray
@@ -96,7 +129,6 @@ class _EnvTables:
         self.nsteps = len(self.steps)
         self.pad = gen.max_step_norm
         self.step_weights = [np.asarray(p.weights, dtype=float) for p in spec.step_laws()]
-        self.step_cums = [np.cumsum(w) for w in self.step_weights]
         self.off_ks = [
             np.asarray([k for k, _ in mu.support], dtype=np.int64)
             for mu in spec.offspring_laws()
@@ -105,7 +137,6 @@ class _EnvTables:
             np.asarray([w for _, w in mu.support], dtype=float)
             for mu in spec.offspring_laws()
         ]
-        self.off_cums = [np.cumsum(p) for p in self.off_ps]
         self.kmax = max(int(ks.max()) for ks in self.off_ks)
         self.multi_step = len(self.step_weights) > 1
         self.multi_off = len(self.off_ks) > 1
@@ -124,29 +155,35 @@ def _window_coords(lo, shape):
 
 
 def _trim(counts, lo):
-    nz = np.nonzero(counts)
+    """Shrink the window (not the rank axis) to the box of occupied sites."""
+    nz = np.nonzero(counts)[1:]
     if len(nz[0]) == 0:
-        return np.zeros((0,) * counts.ndim, dtype=np.int64), lo
+        return np.zeros((counts.shape[0],) + (0,) * (counts.ndim - 1), dtype=np.int64), lo
     slices = tuple(slice(int(a.min()), int(a.max()) + 1) for a in nz)
     new_lo = np.array([l + s.start for l, s in zip(lo, slices)], dtype=np.int64)
-    return np.ascontiguousarray(counts[slices]), new_lo
+    return np.ascontiguousarray(counts[(slice(None),) + slices]), new_lo
 
 
 def _advance(counts, lo, tables, rng, origin, cap_eff):
-    """One exact branch-then-move step on a dense window.
+    """One exact branch-then-move step on a ranked window.
 
-    Returns (counts, lo, arrivals_at_origin, clamped). When ``origin`` is
-    None arrivals are left in place (plain process); otherwise they are
-    removed from the active counts and reported.
+    ``counts`` has shape (ranks, *window). Returns (counts, lo, arrivals,
+    clamped), where ``arrivals[r]`` is the number of rank-r particles that
+    arrived at ``origin``; when ``origin`` is None arrivals are left in place
+    (plain process) and reported as zero.
     """
+    ranks = counts.shape[0]
     if counts.size == 0:
-        return counts, lo, 0, False
+        return counts, lo, [0] * ranks, False
     pad = tables.pad
     shape = counts.shape
-    flat = counts.ravel()
+    window = shape[1:]
+    flat = counts.reshape(ranks, -1)  # (ranks, sites): law indices broadcast over ranks
+    if tables.multi_off or tables.multi_step:
+        coords = _window_coords(lo, window)
 
-    # Branching: offspring totals per site, one exact multinomial per law
-    # (a two-point support reduces to a single binomial).
+    # Branching: offspring totals per (rank, site), one exact multinomial per
+    # law (a two-point support reduces to a single binomial).
     def branch(n, ks, ps):
         if len(ks) == 1:
             return n * ks[0]
@@ -156,29 +193,27 @@ def _advance(counts, lo, tables, rng, origin, cap_eff):
         return rng.multinomial(n, ps) @ ks
 
     if tables.multi_off:
-        coords = _window_coords(lo, shape)
         off_idx = tables.env.offspring_law_indices(coords)
-        totals = np.zeros(flat.size, dtype=np.int64)
+        totals = np.zeros(flat.shape, dtype=np.int64)
         for j, (ks, ps) in enumerate(zip(tables.off_ks, tables.off_ps)):
             sel = off_idx == j
             if not sel.any():
                 continue
             t = branch(np.where(sel, flat, 0), ks, ps)
-            totals[sel] = t[sel]
+            totals[:, sel] = t[:, sel]
     else:
         totals = branch(flat, tables.off_ks[0], tables.off_ps[0])
 
-    # Dispersal: multinomial split of each site's offspring over its step
-    # law, accumulated by shifted slice adds on the padded window.
-    new_shape = tuple(n + 2 * pad for n in shape)
+    # Dispersal: multinomial split of each (rank, site)'s offspring over its
+    # site's step law, accumulated by shifted slice adds on the padded window.
+    new_shape = (ranks,) + tuple(n + 2 * pad for n in window)
     new_lo = lo - pad
     new = np.zeros(new_shape, dtype=np.int64)
     views = [
-        tuple(slice(pad + c, n + pad + c) for n, c in zip(shape, s))
+        (slice(None),) + tuple(slice(pad + c, n + pad + c) for n, c in zip(window, s))
         for s in tables.steps
     ]
     if tables.multi_step:
-        coords = _window_coords(lo, shape)
         step_idx = tables.env.step_law_indices(coords)
     for i, w in enumerate(tables.step_weights):
         n = totals if not tables.multi_step else np.where(step_idx == i, totals, 0)
@@ -187,16 +222,20 @@ def _advance(counts, lo, tables, rng, origin, cap_eff):
             new[views[0]] += first.reshape(shape)
             new[views[1]] += (n - first).reshape(shape)
         else:
-            draws = rng.multinomial(n, w)  # (window, steps)
+            draws = rng.multinomial(n, w)  # (ranks, window, steps)
             for c, view in enumerate(views):
-                new[view] += draws[:, c].reshape(shape)
+                new[view] += draws[..., c].reshape(shape)
 
-    arrivals = 0
+    # The origin rule: rank r arrivals move up to rank r + 1; top-rank
+    # arrivals leave the window.
+    arrivals = [0] * ranks
     if origin is not None:
         local = tuple(int(o - l) for o, l in zip(origin, new_lo))
-        if all(0 <= c < n for c, n in zip(local, new_shape)):
-            arrivals = int(new[local])
-            new[local] = 0
+        if all(0 <= c < n for c, n in zip(local, new_shape[1:])):
+            column = new[(slice(None),) + local]
+            arrivals = column.tolist()
+            column[1:] = arrivals[:-1]
+            column[0] = 0
 
     clamped = False
     over = new > cap_eff
@@ -244,11 +283,12 @@ def step_bmc(front, env, rng, cap=COUNT_CAP_DEFAULT):
     tables = _EnvTables(env)
     cap_eff = tables.safe_cap(cap)
     counts, lo, clamped_in = _dict_to_window(front.counts, tables.d, cap_eff)
-    counts, lo, arrivals, clamped = _advance(counts, lo, tables, rng, front.origin, cap_eff)
+    counts, lo, arrivals, clamped = _advance(
+        counts[None], lo, tables, rng, front.origin, cap_eff)
     return ParticleFront(
         time=front.time + 1,
-        counts=_window_to_dict(counts, lo),
-        frozen=front.frozen + arrivals,
+        counts=_window_to_dict(counts[0], lo),
+        frozen=front.frozen + arrivals[0],
         origin=front.origin,
         saturated=front.saturated or clamped_in or clamped,
     )
@@ -259,22 +299,40 @@ def _rng_for(master_seed, replicate=None):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _run_star(tables, x0, x_start, horizon, cap_eff, rng):
-    x0 = tuple(x0)
-    d = tables.d
-    counts = np.ones((1,) * d, dtype=np.int64)
+def _replicate(tables, cap_eff, rng, x_start, origin, ranks, horizon):
+    """Yield (counts, lo, arrivals, clamped) after each step of one run.
+
+    The run starts from one rank-0 particle at ``x_start`` and ends early
+    once the window holds no particle.
+    """
+    counts = np.zeros((ranks,) + (1,) * tables.d, dtype=np.int64)
+    counts[0] = 1
     lo = np.asarray(tuple(x_start), dtype=np.int64)
+    for _ in range(horizon):
+        if counts.size == 0:
+            return
+        counts, lo, arrivals, clamped = _advance(counts, lo, tables, rng, origin, cap_eff)
+        yield counts, lo, arrivals, clamped
+
+
+def _replicates(env, replicates, master_seed, cap, x_start, origin, horizon):
+    """One-rank step streams of replicates 0, 1, ...; stream i draws from (master_seed, i)."""
+    tables = _EnvTables(env)
+    cap_eff = tables.safe_cap(cap)
+    for i in range(replicates):
+        yield _replicate(tables, cap_eff, _rng_for(master_seed, i), x_start, origin, 1, horizon)
+
+
+def _star_result(steps, horizon):
     frozen = 0
     saturated = False
     population = np.empty(horizon)
-    for step in range(1, horizon + 1):
-        if counts.size == 0:
-            population[step - 1 :] = float(frozen)
-            break
-        counts, lo, arrivals, clamped = _advance(counts, lo, tables, rng, x0, cap_eff)
-        frozen += arrivals
+    done = 0
+    for done, (counts, _, arrivals, clamped) in enumerate(steps, 1):
+        frozen += arrivals[0]
         saturated = saturated or clamped
-        population[step - 1] = float(counts.sum(dtype=np.float64)) + frozen
+        population[done - 1] = float(counts.sum(dtype=np.float64)) + frozen
+    population[done:] = float(frozen)
     return BmcStarResult(
         nu_observed=frozen,
         horizon=horizon,
@@ -297,120 +355,54 @@ def run_bmc_star(env, x0, x_start, horizon, cap=COUNT_CAP_DEFAULT, rng=None, see
     if rng is None:
         rng = _rng_for(seed)
     tables = _EnvTables(env)
-    return _run_star(tables, x0, x_start, horizon, tables.safe_cap(cap), rng)
+    steps = _replicate(tables, tables.safe_cap(cap), rng, x_start, x0, 1, horizon)
+    return _star_result(steps, horizon)
 
 
 def estimate_nu(env, x0, x_start, replicates, horizon, cap=COUNT_CAP_DEFAULT, master_seed=0):
     """Sample mean and standard error of the frozen tally over replicates.
 
-    Saturated replicates are counted and reported; their tallies still enter
-    the mean (saturation clamps bulk counts far from the origin, so the
-    origin tally is unaffected in the transient regime). The estimate is
-    flagged unreliable when more than 1% of runs saturate.
+    The reduction of ``replicate_records`` by ``NuEstimate.from_records``.
     """
     if replicates < 1:
         raise PreconditionError("replicates must be >= 1")
-    tables = _EnvTables(env)
-    cap_eff = tables.safe_cap(cap)
-    values = np.empty(replicates)
-    saturated_runs = 0
-    for i in range(replicates):
-        res = _run_star(tables, x0, x_start, horizon, cap_eff, _rng_for(master_seed, i))
-        values[i] = res.nu_observed
-        saturated_runs += res.saturated
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-    return NuEstimate(
-        mean=mean,
-        std_error=se,
-        replicates=replicates,
-        saturated_runs=saturated_runs,
-        horizon=horizon,
-        reliable=saturated_runs <= 0.01 * replicates,
-    )
+    return NuEstimate.from_records(
+        replicate_records(env, x0, x_start, replicates, horizon, cap, master_seed))
 
 
 def replicate_records(env, x0, x_start, replicates, horizon, cap=COUNT_CAP_DEFAULT, master_seed=0):
     """Per-replicate (index, nu_observed, saturated) records, index-ordered."""
-    tables = _EnvTables(env)
-    cap_eff = tables.safe_cap(cap)
     out = []
-    for i in range(replicates):
-        res = _run_star(tables, x0, x_start, horizon, cap_eff, _rng_for(master_seed, i))
+    for i, steps in enumerate(_replicates(env, replicates, master_seed, cap,
+                                          x_start, x0, horizon)):
+        res = _star_result(steps, horizon)
         out.append({"replicate": i, "nu_observed": res.nu_observed,
                     "saturated": res.saturated, "horizon": horizon})
     return out
 
 
-def gw_return_process(env, x0, generations, per_particle_cap, horizon,
-                      rng=None, seed=0):
-    """Generation sizes of the embedded return process, per-particle mode.
+def gw_return_process(env, x0, generations, cap, horizon, rng=None, seed=0):
+    """Generation sizes of the embedded return process, from a run started at x0.
 
-    Tracks every particle's count of ancestry-line returns to the origin;
-    an arrival whose running count reaches r contributes to generation r.
-    Lineages whose count already reached ``generations`` are dropped (their
-    descendants cannot contribute). The observation is flagged truncated if
-    the live population exceeds ``per_particle_cap``.
+    The ranked window with ``generations`` ranks: an arrival at the origin
+    whose ancestry line thereby returns for the r-th time contributes to
+    generation r, and lineages past the last generation leave the window
+    (their descendants cannot contribute). ``cap`` is the per-site count cap
+    of the other entry points; the observation is flagged truncated when a
+    count was clamped, and the run goes on to the horizon.
     """
     if generations < 1:
         raise PreconditionError("generations must be >= 1")
     if rng is None:
         rng = _rng_for(seed)
     tables = _EnvTables(env)
-    d = tables.d
-    x0_arr = np.asarray(tuple(x0), dtype=np.int64)
-    pos = x0_arr.reshape(1, d).copy()
-    ret = np.zeros(1, dtype=np.int64)
-    z = np.zeros(generations + 1, dtype=np.int64)
+    z = [0] * generations
     truncated = False
-    steps_arr = np.asarray(tables.steps, dtype=np.int64)
-    for _ in range(horizon):
-        n = pos.shape[0]
-        if n == 0:
-            break
-        if n > per_particle_cap:
-            truncated = True
-            break
-        # Offspring counts per particle.
-        k = np.empty(n, dtype=np.int64)
-        off_idx = tables.env.offspring_law_indices(pos) if tables.multi_off else None
-        for j, (ks, cum) in enumerate(zip(tables.off_ks, tables.off_cums)):
-            mask = np.ones(n, dtype=bool) if off_idx is None else off_idx == j
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            if len(ks) == 1:
-                k[mask] = ks[0]
-            else:
-                u = rng.random(cnt)
-                k[mask] = ks[np.searchsorted(cum, u, side="right")]
-        # Moves per child, by the parent's site law.
-        parent_slaw = tables.env.step_law_indices(pos) if tables.multi_step else None
-        child_pos = np.repeat(pos, k, axis=0)
-        child_ret = np.repeat(ret, k)
-        child_slaw = None if parent_slaw is None else np.repeat(parent_slaw, k)
-        moves = np.empty_like(child_pos)
-        for i, cum in enumerate(tables.step_cums):
-            mask = (
-                np.ones(child_pos.shape[0], dtype=bool)
-                if child_slaw is None
-                else child_slaw == i
-            )
-            cnt = int(mask.sum())
-            if cnt == 0:
-                continue
-            u = rng.random(cnt)
-            moves[mask] = steps_arr[np.searchsorted(cum, u, side="right")]
-        child_pos += moves
-        arrived = np.all(child_pos == x0_arr, axis=1)
-        child_ret += arrived
-        ranks = child_ret[arrived]
-        if ranks.size:
-            z += np.bincount(ranks, minlength=generations + 1)[: generations + 1]
-        keep = child_ret < generations
-        pos = child_pos[keep]
-        ret = child_ret[keep]
-    return GwObservation(z=z[1:], truncated=truncated)
+    for _, _, arrivals, clamped in _replicate(
+            tables, tables.safe_cap(cap), rng, x0, x0, generations, horizon):
+        z = [a + b for a, b in zip(z, arrivals)]
+        truncated = truncated or clamped
+    return GwObservation(z=np.asarray(z), truncated=truncated)
 
 
 def estimate_alpha(env, x0, replicates, horizon, return_threshold,
@@ -427,21 +419,13 @@ def estimate_alpha(env, x0, replicates, horizon, return_threshold,
         raise PreconditionError("return_threshold must be >= 1")
     if replicates < 1:
         raise PreconditionError("replicates must be >= 1")
-    tables = _EnvTables(env)
-    cap_eff = tables.safe_cap(cap)
-    x0 = tuple(x0)
-    d = tables.d
     hits = 0
-    for i in range(replicates):
-        rng = _rng_for(master_seed, i)
-        counts = np.ones((1,) * d, dtype=np.int64)
-        lo = np.asarray(x0, dtype=np.int64)
+    for steps in _replicates(env, replicates, master_seed, cap, x0, None, horizon):
         visits = 0
-        for _ in range(horizon):
-            counts, lo, _, _ = _advance(counts, lo, tables, rng, None, cap_eff)
+        for counts, lo, _, _ in steps:
             local = tuple(int(o - l) for o, l in zip(x0, lo))
-            if all(0 <= c < n for c, n in zip(local, counts.shape)):
-                visits += int(counts[local])
+            if all(0 <= c < n for c, n in zip(local, counts.shape[1:])):
+                visits += int(counts[(0,) + local])
             if visits >= return_threshold:
                 break
         hits += visits >= return_threshold

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from brwre import (
+    COUNT_CAP_DEFAULT,
     EnvironmentSpec,
     GeneratorSet,
     OffspringDistribution,
@@ -252,6 +253,32 @@ class TestGwReturnProcess:
         env = RealizedEnvironment(get_preset("symmetric-z1"), 7)
         obs = gw_return_process(env, (0,), 3, 10, 50, seed=1)
         assert obs.truncated
+
+    @pytest.mark.parametrize("preset", ["drift-z1", "drift-pair-z1"])
+    def test_one_generation_is_the_frozen_tally(self, preset):
+        # One rank is the frozen-origin process itself, draw for draw; the cap
+        # makes most runs clamp, so both values of the flag are compared.
+        env = RealizedEnvironment(get_preset(preset), 7)
+        for s in range(30):
+            obs = gw_return_process(env, (0,), 1, 10 ** 6, 100, seed=s)
+            star = run_bmc_star(env, (0,), (0,), 100, 10 ** 6, seed=s)
+            assert obs.z[0] == star.nu_observed
+            assert obs.truncated == star.saturated
+
+    def test_second_return_of_a_walker(self):
+        # Without branching, z[1] == 1 exactly when the walk returns twice:
+        # P = sum_{n <= 40} (f * f)_n for the first-return law f.
+        env = rw_env((0.5, 0.5))
+        horizon, runs = 40, 1500
+        f = [first_return_prob(0.5, 0.5, n) for n in range(horizon + 1)]
+        oracle = sum(f[k] * f[n - k] for n in range(horizon + 1) for k in range(n + 1))
+        assert oracle == pytest.approx(0.7493, abs=1e-4)
+        hits = sum(
+            gw_return_process(env, (0,), 2, COUNT_CAP_DEFAULT, horizon, seed=s).z[1] == 1
+            for s in range(runs)
+        )
+        sigma = math.sqrt(oracle * (1 - oracle) / runs)
+        assert abs(hits / runs - oracle) <= 4 * sigma
 
 
 class TestEstimateAlpha:
