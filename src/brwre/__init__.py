@@ -26,7 +26,6 @@ from .environment import (
     couple_lower,
     couple_raise,
     m_star,
-    site_law,
     validate,
     validate_walk,
 )

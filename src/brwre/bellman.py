@@ -1,4 +1,4 @@
-"""Value iteration for the critical mean offspring.
+"""Value iteration and the truncated critical mean offspring.
 
 The dynamic program iterates
 
@@ -9,25 +9,23 @@ sup over the convex hull of step laws is attained at the extreme points
 because the objective is linear in the law. The sequence is monotone
 increasing, so divergence at a finite radius certifies divergence on all
 of Z^d (the truncation only removes paths), while boundedness is certified
-for the truncated system. Bisection over m locates the truncated
-threshold, which decreases to the reciprocal spectral radius as the radius
-grows.
+for the truncated system.
 
-Divergence detection: the pinned iterate can be astronomically large yet
-bounded (upstream of a drift, the fixed point grows like m^(|x|/drift)),
-so a raw value threshold cannot separate the regimes. Instead a companion
-homogeneous iteration g -> m * max_j P_j g, killed at the origin and
-outside the ball, yields rigorous two-sided growth certificates: if
-m * (A g)(x) >= lambda * g(x) pointwise on a connected component then the
-growth rate is at least lambda (monotone homogeneous operators obey the
-Collatz-Wielandt bounds). A sticky certificate lambda > 1 plus the value
-threshold declares divergence; convergence is declared when the sweep
-increment falls below 1e-12 relative to the field's scale.
+Both answers rest on the companion iteration g -> K g = max_j P_j g, killed
+at the origin and outside the ball. Where g > 0 on a component closed under
+K, the least and the largest two-sweep ratio (K^2 g)(x) / g(x) bound the
+growth rate of K^2 there from below and above (Collatz-Wielandt); two
+sweeps, because the killed operator is typically bipartite. Value iteration
+diverges once a least ratio of m K exceeds 1 and the values pass a
+threshold (a bounded iterate can be astronomically large upstream of a
+drift). The truncated critical mean m(R) = 1 / lambda_R, lambda_R the growth
+rate of K, is bracketed by the same ratios; the bracket closes geometrically,
+and m(R) decreases to the reciprocal spectral radius as the radius grows.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
+import math
 
 import numpy as np
 
@@ -41,6 +39,7 @@ INDETERMINATE = "indeterminate"
 
 _INCREMENT_TOL = 1e-12
 _CW_MARGIN = 1e-10
+_AUTO_SWEEPS = 20  # per squared radius: the bracket closes at a rate ~ 1 / radius^2
 
 
 @dataclass
@@ -85,25 +84,25 @@ def _sweep_views(shape, steps, pad):
 
 
 def _components(shape, center, moves):
-    """Label the punctured ball's step-connected components (0 = excluded)."""
-    labels = np.zeros(shape, dtype=np.int32)
-    labels[center] = -1
-    next_label = 0
-    for start in np.ndindex(shape):
-        if labels[start] != 0:
-            continue
-        next_label += 1
-        queue = deque([start])
-        labels[start] = next_label
-        while queue:
-            site = queue.popleft()
-            for mv in moves:
-                nb = tuple(a + b for a, b in zip(site, mv))
-                if all(0 <= c < n for c, n in zip(nb, shape)) and labels[nb] == 0:
-                    labels[nb] = next_label
-                    queue.append(nb)
+    """Label the punctured ball's step-connected components (0 = excluded)
+    by flood fill: each site starts with its own label and takes the largest
+    label among its neighbours until nothing changes."""
+    pad = max(max(abs(c) for c in mv) for mv in moves)
+    inner = tuple(slice(pad, pad + n) for n in shape)
+    views = _sweep_views(shape, moves, pad)
+    labels = np.arange(1, int(np.prod(shape)) + 1, dtype=np.int32).reshape(shape)
     labels[center] = 0
-    return labels, next_label
+    padded = np.zeros(tuple(n + 2 * pad for n in shape), dtype=np.int32)
+    grown = np.empty_like(labels)
+    while True:
+        padded[inner] = labels
+        np.copyto(grown, labels)
+        for view in views:
+            np.maximum(grown, padded[view], out=grown)
+        grown[center] = 0
+        if np.array_equal(grown, labels):
+            return labels
+        labels, grown = grown, labels
 
 
 class _MaxSweep:
@@ -137,8 +136,7 @@ def _companion_seed(shape, radius, comp_masks, theta):
 
     Seeding with the optimal tilt of the untruncated walk collapses the
     huge dynamic range the Perron profile of a drifted operator spans, so
-    the growth certificate fires in a handful of sweeps instead of
-    thousands.
+    the growth bounds close in a handful of sweeps instead of thousands.
     """
     d = len(shape)
     axes = np.meshgrid(*(np.arange(-radius, radius + 1, dtype=float),) * d, indexing="ij")
@@ -148,6 +146,52 @@ def _companion_seed(shape, radius, comp_masks, theta):
         e = exponent[mask]
         g[mask] = np.exp(np.clip(e - e.max(), -500.0, 0.0))
     return np.maximum(g, np.where(g > 0, 1e-250, 0.0))
+
+
+class _Companion:
+    """The companion iteration g -> m K g, normalized to peak 1 per component.
+
+    Its components are those the pinned origin feeds, connected by the steps
+    with positive weight in some law and their negatives: K maps each into
+    itself, and ``step`` returns each one's least and largest two-sweep ratio.
+    """
+
+    def __init__(self, spec, radius, m):
+        d = spec.generator_set.dimension
+        shape = (2 * radius + 1,) * d
+        self.center = (radius,) * d
+        self.sweep = _MaxSweep(spec, shape, m)
+        steps = spec.generator_set.steps
+        live = {s for law in spec.step_laws() for s, w in zip(steps, law.weights) if w > 0.0}
+        labels = _components(shape, self.center, live | {tuple(-c for c in s) for s in live})
+        pin = np.zeros(shape)
+        pin[self.center] = 1.0
+        self.sweep.apply(pin, pin)  # in place is safe: apply copies its input first
+        self.masks = [labels == c for c in sorted(set(labels[pin > 0.0].tolist()))]
+        self.killed = ~np.any(self.masks, axis=0)
+        self.g = _companion_seed(shape, radius, self.masks, env_rho(spec).theta_star)
+        self._next, self._two_back = np.empty(shape), np.empty(shape)
+        self._scales = [1.0] * len(self.masks)
+        self.sweeps = 0
+
+    def step(self, ratios=True):
+        """One sweep; per component (least, largest) ratio once two sweeps ran."""
+        g_next = self._next
+        self.sweep.apply(self.g, g_next)
+        g_next[self.killed] = 0.0
+        bounds = [] if ratios and self.sweeps > 0 else None
+        for k, mask in enumerate(self.masks):
+            part = g_next[mask]
+            if bounds is not None:
+                # K^2 g_two_back = last scale * raw sweep output, pointwise
+                r = self._scales[k] * part / self._two_back[mask]
+                bounds.append((float(r.min()), float(r.max())))
+            self._scales[k] = peak = float(part.max())
+            if peak > 0.0:
+                g_next[mask] = part / peak
+        self._two_back, self.g, self._next = self.g, g_next, self._two_back
+        self.sweeps += 1
+        return bounds
 
 
 def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=1.0):
@@ -167,26 +211,11 @@ def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=
         raise PreconditionError("blowup must exceed 1")
     if max_sweeps is None:
         max_sweeps = 20 * radius
-    gen = spec.generator_set
-    d = gen.dimension
-    shape = (2 * radius + 1,) * d
-    center = (radius,) * d
-    sweep = _MaxSweep(spec, shape, m)
-
-    labels, n_comp = _components(shape, center, gen.symmetrized_minimal())
-    comp_masks = [labels == c for c in range(1, n_comp + 1)]
-
-    f = np.zeros(shape)
+    companion = _Companion(spec, radius, m)
+    sweep, center = companion.sweep, companion.center
+    f = np.zeros(companion.g.shape)
     f[center] = origin_value
-    f_next = np.empty(shape)
-    g = _companion_seed(shape, radius, comp_masks, env_rho(spec).theta_star)
-    g_next = np.empty(shape)
-    # Two-sweep certificate state: the killed operator is typically
-    # bipartite, so one-step ratios oscillate between lambda(1-c)/(1+c) and
-    # lambda(1+c)/(1-c) forever; the squared operator is parity-free and its
-    # pointwise ratios converge to lambda^2.
-    g_two_back = None
-    last_scales = None
+    f_next = np.empty(f.shape)
 
     status = INDETERMINATE
     sweeps = 0
@@ -204,24 +233,9 @@ def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=
             if fmax > 1e250:
                 f_frozen = True
 
-        sweep.apply(g, g_next)
-        g_next[center] = 0.0
-        g_next[labels == 0] = 0.0
-        if not growth_certified and g_two_back is not None:
-            # A^2 g_two_back = last_scale * raw sweep output, pointwise
-            for mask, s in zip(comp_masks, last_scales):
-                ratios = s * g_next[mask] / g_two_back[mask]
-                if float(ratios.min()) > 1.0 + _CW_MARGIN:
-                    growth_certified = True
-                    break
-        g_two_back = g.copy()
-        last_scales = []
-        for mask in comp_masks:
-            peak = float(g_next[mask].max())
-            last_scales.append(peak)
-            if peak > 0.0:
-                g_next[mask] /= peak
-        np.copyto(g, g_next)
+        bounds = companion.step(ratios=not growth_certified)
+        if bounds is not None:
+            growth_certified = any(lo > 1.0 + _CW_MARGIN for lo, _ in bounds)
 
         if growth_certified and fmax > blowup:
             status = DIVERGING
@@ -230,56 +244,40 @@ def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=
             status = BOUNDED
             break
 
-    field = ValueField(radius=radius, origin=(0,) * d, m=m, values=f)
+    field = ValueField(radius=radius, origin=(0,) * f.ndim, m=m, values=f)
     return ValueIterationResult(status=status, field=field, sweeps_used=sweeps)
 
 
-def critical_m(spec, radius, tol, max_sweeps=None, blowup=1e12):
-    """Bisection for the truncated critical mean offspring.
+def critical_m(spec, radius, tol, max_sweeps=None):
+    """The truncated critical mean offspring m(R), within tol / 2.
 
-    The returned value m(R) satisfies: value iteration diverges at
-    m(R) + tol and stays bounded at m(R) - tol. m(R) decreases in R
-    (a larger ball admits more paths) toward 1 / rho.
-
-    The sweep budget per probe adapts: near the threshold both certificates
-    need on the order of log(blowup) / |m - m(R)| sweeps, so Indeterminate
-    probes are retried with a doubled budget before giving up.
+    Each sweep of the companion iteration at m = 1 certifies m(R) in
+    [1 / sqrt(max_C largest ratio), 1 / sqrt(max_C least ratio)] over its
+    components C; once these brackets meet in one at most ``tol`` wide, its
+    midpoint is returned. ``max_sweeps`` bounds the sweeps (automatic by
+    default); when it runs out, ConvergenceError carries the bracket.
     """
     validate_walk(spec)
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
-    rho = env_rho(spec).rho
-    lo = 1.0  # always bounded: the iteration cannot exceed its pinned value at m <= 1
-    hi = 1.0 / rho + 0.5
-    base_budget = max_sweeps if max_sweeps is not None else max(20 * radius, 2000)
-
-    def probe(m):
-        budget = base_budget
-        for _ in range(7):
-            res = value_iteration(spec, m, radius, max_sweeps=budget, blowup=blowup)
-            if res.status != INDETERMINATE:
-                return res.status
-            budget *= 2
-        raise ConvergenceError(
-            f"value iteration indeterminate at m={m} even with {budget} sweeps; "
-            "increase the sweep budget or loosen tol"
-        )
-
-    # The upper bracket must diverge; widen it if truncation bites hard.
-    for _ in range(6):
-        if probe(hi) == DIVERGING:
-            break
-        hi += 0.5
-    else:
-        raise ConvergenceError(f"no diverging upper bracket found up to m={hi}")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) == DIVERGING:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    if radius < 1:
+        raise PreconditionError("radius must be >= 1")
+    companion = _Companion(spec, radius, 1.0)
+    lo, hi = 0.0, math.inf
+    budget = max_sweeps or _AUTO_SWEEPS * radius * radius
+    companion.step()  # the ratios need two sweeps
+    for _ in range(budget - 1):
+        bounds = companion.step()
+        least, largest = (max((b[k] for b in bounds), default=0.0) for k in (0, 1))
+        if largest == 0.0:
+            raise ConvergenceError(f"the companion iteration dies out: m({radius}) is infinite")
+        lo = max(lo, 1.0 / math.sqrt(largest))
+        hi = min(hi, 1.0 / math.sqrt(least) if least > 0.0 else math.inf)
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"critical mean only bracketed in [{lo!r}, {hi!r}] after {budget} sweeps; "
+        "increase the sweep budget or loosen tol", residual=hi - lo)
 
 
 def harmonic_residual(field, spec, env):

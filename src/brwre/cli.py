@@ -92,9 +92,7 @@ def _cmd_bellman(cfg, out_dir):
         print(f"value iteration at m = {run['m']}: {res.status} "
               f"after {res.sweeps_used} sweeps (field.csv written)")
     else:
-        m_crit = critical_m(
-            cfg.spec, run["radius"], run["tol"], max_sweeps=sweeps, blowup=run["blowup"]
-        )
+        m_crit = critical_m(cfg.spec, run["radius"], run["tol"], max_sweeps=sweeps)
         rho = env_rho(cfg.spec).rho
         result = {
             "mode": "critical-m",

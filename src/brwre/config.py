@@ -31,7 +31,6 @@ _RUN_DEFAULTS = {
     "target_mean": None,
     "direction": None,
     "dist_index": 0,
-    "return_threshold": 1,
 }
 
 
@@ -243,7 +242,7 @@ def parse_config(text):
 def _convert_run_value(key, raw, line):
     if key in ("seed",):
         return _parse_int(raw, line, key, lo=0, hi=2 ** 64 - 1)
-    if key in ("horizon", "replicates", "radius", "return_threshold"):
+    if key in ("horizon", "replicates", "radius"):
         return _parse_int(raw, line, key, lo=1)
     if key in ("cap",):
         return _parse_int(raw, line, key, lo=1, hi=COUNT_CAP_DEFAULT)

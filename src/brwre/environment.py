@@ -231,10 +231,6 @@ class RealizedEnvironment:
         return self.spec.step_support[i][0], self.spec.offspring_support[j][0]
 
 
-def site_law(env, x):
-    return env.site_law(x)
-
-
 def couple_raise(mu, m_tilde):
     """Raise the mean of ``mu`` to ``m_tilde`` by moving mass upward.
 

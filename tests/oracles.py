@@ -4,6 +4,7 @@ Everything here is deliberately brute force or closed form and shares no
 code with the library paths it checks.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
 import math
@@ -154,3 +155,29 @@ def zero_in_hull_1d(drifts):
     """0 in the convex hull of scalars, exactly."""
     fr = [Fraction(x) for x in drifts]
     return min(fr) <= 0 <= max(fr)
+
+
+def label_components_bfs(shape, center, moves):
+    """Breadth-first labels of the punctured ball's step-connected components.
+
+    0 marks the excluded center; components are numbered 1..n in the
+    ``np.ndindex`` order of their first sites.
+    """
+    labels = np.zeros(shape, dtype=np.int32)
+    labels[center] = -1
+    next_label = 0
+    for start in np.ndindex(shape):
+        if labels[start] != 0:
+            continue
+        next_label += 1
+        queue = deque([start])
+        labels[start] = next_label
+        while queue:
+            site = queue.popleft()
+            for mv in moves:
+                nb = tuple(a + b for a, b in zip(site, mv))
+                if all(0 <= c < n for c, n in zip(nb, shape)) and labels[nb] == 0:
+                    labels[nb] = next_label
+                    queue.append(nb)
+    labels[center] = 0
+    return labels

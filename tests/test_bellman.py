@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from brwre import (
     BOUNDED,
     DIVERGING,
+    ConvergenceError,
     EnvironmentSpec,
     GeneratorSet,
     OffspringDistribution,
@@ -16,9 +19,10 @@ from brwre import (
     harmonic_residual,
     value_iteration,
 )
+from brwre.bellman import _components
 from brwre.presets import get_preset
 
-from oracles import solve_nu_field_exact
+from oracles import label_components_bfs, solve_nu_field_exact
 
 
 def singleton_spec(weights, offspring_masses, gamma=0.05):
@@ -34,6 +38,12 @@ def singleton_spec(weights, offspring_masses, gamma=0.05):
 
 
 DRIFT = get_preset("drift-z1")
+
+
+def killed_walk_threshold(weights, radius):
+    """1 / growth rate of one nearest-neighbour law on Z, killed at 0 and outside the ball."""
+    p, q = weights
+    return 1.0 / (2.0 * math.sqrt(p * q) * math.cos(math.pi / (radius + 1)))
 
 
 class TestValueIteration:
@@ -133,6 +143,47 @@ class TestCriticalM:
         coarse = critical_m(DRIFT, 15, 0.005)
         fine = critical_m(DRIFT, 45, 0.005)
         assert fine <= coarse + 0.01
+
+    @pytest.mark.parametrize("radius", [3, 10, 30, 80])
+    @pytest.mark.parametrize("preset", ["drift-z1", "symmetric-z1"])
+    def test_single_law_matches_killed_walk(self, preset, radius):
+        spec = get_preset(preset)
+        exact = killed_walk_threshold(spec.step_laws()[0].weights, radius)
+        assert abs(critical_m(spec, radius, 1e-10) - exact) <= 1e-10
+
+    @pytest.mark.parametrize("preset", ["drift-pair-z1", "strong-drift-pair", "zero-drift-pair"])
+    def test_between_env_rho_and_best_single_law(self, preset):
+        # The max-operator switches laws from site to site, so it grows at
+        # least as fast as the best single law and at most at rate rho.
+        spec, radius, tol = get_preset(preset), 30, 1e-8
+        mc = critical_m(spec, radius, tol)
+        best = min(killed_walk_threshold(p.weights, radius) for p in spec.step_laws())
+        assert 1.0 / env_rho(spec).rho - tol <= mc <= best + tol
+
+    def test_exhausted_budget_reports_the_bracket(self):
+        with pytest.raises(ConvergenceError, match="bracketed in") as err:
+            critical_m(DRIFT, 80, 1e-10, max_sweeps=50)
+        assert err.value.residual > 1e-10
+
+
+class TestComponents:
+    @pytest.mark.parametrize("moves", [
+        GeneratorSet.nearest_neighbor(1).steps,
+        GeneratorSet.nearest_neighbor(2).steps,
+        GeneratorSet(1, ((2,), (-2,), (3,), (-3,)), ((2,), (3,))).steps,
+        ((2,), (-2,)),  # three components: the odd sites and each side's even ones
+        ((1, 1), (-1, -1), (1, -1), (-1, 1)),  # two parity classes
+    ])
+    def test_flood_fill_matches_bfs(self, moves):
+        d = len(moves[0])
+        for radius in (1, 2, 3, 6, 11):
+            shape, center = (2 * radius + 1,) * d, (radius,) * d
+            fill = _components(shape, center, moves)
+            bfs = label_components_bfs(shape, center, moves)
+            pairs = set(zip(fill.ravel().tolist(), bfs.ravel().tolist()))
+            # the same partition: labels correspond one to one, 0 to 0
+            assert (0, 0) in pairs
+            assert len(pairs) == len(set(fill.ravel().tolist())) == len(set(bfs.ravel().tolist()))
 
 
 class TestHarmonicResidual:

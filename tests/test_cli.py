@@ -65,7 +65,7 @@ class TestSimulate:
 def test_every_preset_runs(tmp_path, preset):
     validate(get_preset(preset))
     config = write_config(tmp_path, preset)
-    for command in ("classify", "rho"):
+    for command in ("classify", "rho", "bellman"):
         assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "simulate"),
                  "--replicates", "4", "--horizon", "20"]) == 0

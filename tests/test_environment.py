@@ -13,7 +13,6 @@ from brwre import (
     couple_lower,
     couple_raise,
     m_star,
-    site_law,
     validate,
 )
 
@@ -112,14 +111,14 @@ class TestSiteLaw:
             seed = int(rng.integers(0, 2 ** 63))
             x = (int(rng.integers(-10 ** 6, 10 ** 6)),)
             env = self.two_law_env(seed)
-            a = site_law(env, x)
-            b = site_law(RealizedEnvironment(env.spec, seed), x)
+            a = env.site_law(x)
+            b = RealizedEnvironment(env.spec, seed).site_law(x)
             assert a == b
 
     def test_singleton_support_everywhere_equal(self):
         spec = spec_z1([(0.9, 0.1)], [OffspringDistribution.point(2)])
         env = RealizedEnvironment(spec, 5)
-        laws = {site_law(env, (x,)) for x in range(-50, 50)}
+        laws = {env.site_law((x,)) for x in range(-50, 50)}
         assert len(laws) == 1
 
     def test_marginal_frequencies(self):
