@@ -43,17 +43,15 @@ class Verdict:
         }
 
 
-def classify(spec, tol=1e-8, warn_tol=None):
+def classify(spec, tol=1e-8):
     """Classify the branching walk defined by ``spec``.
 
     Uses the nearest-neighbor closed form for rho when it applies (single
     step law on the nearest-neighbor set), the minimax optimizer otherwise.
-    ``warn_tol`` controls the near-critical warning and defaults to ten
-    times the spectral tolerance.
+    The verdict is flagged near-critical when the margin is below ten times
+    the spectral tolerance.
     """
     validate(spec)
-    if warn_tol is None:
-        warn_tol = 10.0 * tol
     ms = m_star(spec)
     single = len(spec.step_support) == 1
     if single and spec.generator_set.is_nearest_neighbor():
@@ -72,5 +70,5 @@ def classify(spec, tol=1e-8, warn_tol=None):
         critical_m=critical,
         margin=margin,
         method=method,
-        near_critical=bool(abs(margin) < warn_tol),
+        near_critical=bool(abs(margin) < 10.0 * tol),
     )

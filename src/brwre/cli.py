@@ -59,7 +59,7 @@ def _cmd_rho(cfg, out_dir):
         "zero_drift_witness": list(witness) if witness else None,
     }
     payload = _write_result(out_dir, "rho", cfg.effective_dict(), result)
-    print(f"rho = {res.rho:.12g} (residual {res.residual:.3g}, "
+    print(f"rho = {res.rho:.12g} (certified gap {res.residual:.3g}, "
           f"active extreme points {list(res.active_extreme_points)})")
     return payload
 

@@ -10,9 +10,11 @@ support the almost-sure spectral radius is the minimax value
 over the extreme points p_j of the support: the mgf is linear in the law,
 so the inner sup over the convex hull is attained at extreme points, and
 the minimax swap identifies the value with the sup over the hull of the
-homogeneous spectral radii. rho = 1 exactly when the hull of the drift
-vectors contains the origin, which is decided separately in exact rational
-arithmetic.
+homogeneous spectral radii. Both sides give certificates: each theta bounds
+the value from above, each mixture of the extreme points from below, and
+``env_rho`` returns a bracket of these two kinds. rho = 1 exactly when the
+hull of the drift vectors contains the origin, which is decided separately
+in exact rational arithmetic.
 """
 
 from dataclasses import dataclass
@@ -26,15 +28,19 @@ from .errors import ConvergenceError, MgfOverflowError, PreconditionError
 
 _EXP_LIMIT = 700.0
 _NEWTON_CAP = 200
+_IPM_CAP = 100
 
 
 @dataclass(frozen=True)
 class SpectralResult:
     """Value and certificate of a spectral radius computation.
 
-    ``residual`` is the norm of the (sub)gradient actually achieved at
-    ``theta_star``: for the minimax it is |sum_j lambda_j grad mgf_j|, the
-    minimal-norm convex combination over the active extreme points.
+    For ``env_rho``, ``rho`` is the value max_j mgf(p_j, theta_star), an
+    upper bound, and ``residual`` is the certified width of the bracket:
+    the true spectral radius lies in [rho - residual, rho].
+    ``active_extreme_points`` are the laws that carry weight in the mixture
+    certifying the lower end. For ``homogeneous_rho``, ``residual`` is the
+    gradient norm at ``theta_star``.
     """
 
     rho: float
@@ -70,7 +76,9 @@ class _MgfFamily:
     def values(self, theta):
         with np.errstate(over="ignore"):
             e = np.exp(self.steps @ theta)  # (S,)
-        return self.w @ e
+        # summed like value_grad_hess, so both ends of a bracket that one law
+        # closes are the same float
+        return (self.w * e).sum(axis=1)
 
     def value_grad_hess(self, theta, j):
         with np.errstate(over="ignore"):
@@ -159,162 +167,83 @@ def nearest_neighbor_rho(p):
     return 2.0 * total
 
 
-def _kkt_polish(family, theta, active, tol, max_iter=80):
-    """Newton on the minimax optimality system over a fixed active set.
-
-    Unknowns (theta, lambda): equal mgf values across the active laws, a
-    vanishing convex combination of their gradients, and sum lambda = 1.
-    Returns None if the iteration stalls, so callers can fall back.
-    """
-    a = len(active)
-    d = family.d
-    lam = np.full(a, 1.0 / a)
-    theta = np.array(theta, dtype=float)
-
-    def residual_and_jac(th, lm):
-        vals, grads, hesss = [], [], []
-        for j in active:
-            v, g, h = family.value_grad_hess(th, j)
-            vals.append(v)
-            grads.append(g)
-            hesss.append(h)
-        r = np.empty(a - 1 + d + 1)
-        jac = np.zeros((a - 1 + d + 1, d + a))
-        for i in range(1, a):
-            r[i - 1] = vals[i] - vals[0]
-            jac[i - 1, :d] = grads[i] - grads[0]
-        gmix = sum(lm[i] * grads[i] for i in range(a))
-        hmix = sum(lm[i] * hesss[i] for i in range(a))
-        r[a - 1 : a - 1 + d] = gmix
-        jac[a - 1 : a - 1 + d, :d] = hmix
-        for i in range(a):
-            jac[a - 1 : a - 1 + d, d + i] = grads[i]
-        r[-1] = lm.sum() - 1.0
-        jac[-1, d:] = 1.0
-        return r, jac
-
-    r, jac = residual_and_jac(theta, lam)
-    for it in range(max_iter):
-        rn = float(np.linalg.norm(r))
-        if rn <= 1e-13:
-            break
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        t = 1.0
-        improved = False
-        for _ in range(50):
-            th_new = theta + t * step[:d]
-            lm_new = lam + t * step[d:]
-            try:
-                r_new, jac_new = residual_and_jac(th_new, lm_new)
-            except FloatingPointError:
-                t *= 0.5
-                continue
-            if np.all(np.isfinite(r_new)) and np.linalg.norm(r_new) < rn * (1 - 1e-4 * t):
-                theta, lam, r, jac = th_new, lm_new, r_new, jac_new
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    if np.any(lam < -1e-9):
-        return None
-    vals = family.values(theta)
-    gmix = sum(lam[i] * family.value_grad_hess(theta, j)[1] for i, j in enumerate(active))
-    return theta, lam, float(np.linalg.norm(gmix)), float(np.max(vals[list(active)]))
-
-
 def env_rho(spec, tol=1e-10):
     """Almost-sure spectral radius of the walk in the random environment.
 
-    Solves inf_theta max_j mgf(p_j, theta) over the extreme points of the
-    step support: a subgradient descent locates the optimum, then a Newton
-    polish on the active set drives the optimality residual to float level.
+    Closes a certified bracket around inf_theta max_j mgf(p_j, theta). Any
+    theta gives the upper end max_j mgf(p_j, theta); any convex weights
+    lambda give the lower end, the homogeneous rho of the mixture law
+    sum_j lambda_j p_j (weak duality). The ends start from the extreme
+    points on their own, then primal-dual interior-point Newton steps on the
+    epigraph problem min t s.t. mgf_j(theta) <= t move both until they are
+    at most ``tol`` apart. The true value lies in [rho - residual, rho].
     """
     validate_walk(spec)
     laws = spec.step_laws()
     for p in laws:
         _check_coercive(p)
     family = _MgfFamily(spec.generator_set, [p.weights for p in laws])
-    d = family.d
+    w, steps, d = family.w, family.steps, family.d
     nlaws = len(laws)
 
-    # Phase 1: subgradient descent with best-iterate tracking.
-    theta = np.zeros(d)
-    best_theta = theta.copy()
-    best_val = float(np.max(family.values(theta)))
-    c0 = 0.3 / max(1.0, spec.generator_set.max_step_norm)
+    singles = [_newton_minimize(family, j, np.zeros(d), tol) for j in range(nlaws)]
+    best = int(np.argmax([val for _, val, _, _ in singles]))
+    theta_star, lower = singles[best][:2]
+    upper = float(np.max(family.values(theta_star)))
+    lam_lower = np.eye(nlaws)[best]
+
+    # Epigraph variables: t >= mgf_j(theta) with slacks s_j and multipliers
+    # lambda_j, centred at lambda_j s_j = sigma mu with sigma = 0.1. The
+    # slacks start no smaller than the initial gap.
+    theta, lam = theta_star, np.full(nlaws, 1.0 / nlaws)
+    t = 2.0 * upper - lower
+    s = t - family.values(theta)
     iterations = 0
-    n_subgrad = 0 if nlaws == 1 else 1500
-    for k in range(1, n_subgrad + 1):
-        vals = family.values(theta)
-        j = int(np.argmax(vals))
-        _, grad, _ = family.value_grad_hess(theta, j)
-        gn = float(np.linalg.norm(grad))
-        if gn <= tol:
-            best_theta, best_val = theta.copy(), float(vals[j])
-            break
-        theta = theta - (c0 / np.sqrt(k)) * grad / gn
-        v = float(np.max(family.values(theta)))
-        if v < best_val:
-            best_val, best_theta = v, theta.copy()
-        iterations += 1
-
-    # Phase 2 and 3: active set at the incumbent, then Newton polish.
-    result = None
-    vals = family.values(best_theta)
-    fbest = float(np.max(vals))
-    active = [j for j in range(nlaws) if fbest - vals[j] <= max(1e-8, 1e-6 * abs(fbest))]
-    for _ in range(nlaws + 1):
-        polished = _kkt_polish(family, best_theta, tuple(active), tol)
-        if polished is None:
-            if len(active) <= 1:
-                break
-            # Drop the least active law and retry.
-            vals = family.values(best_theta)
-            active = sorted(active, key=lambda j: -vals[j])[:-1]
-            continue
-        theta_p, lam, res, val_active = polished
-        all_vals = family.values(theta_p)
-        overshoot = [j for j in range(nlaws) if j not in active and all_vals[j] > val_active + 1e-11]
-        if overshoot:
-            active = sorted(set(active) | {overshoot[0]})
-            continue
-        keep = [j for j, lm in zip(active, lam) if lm > 1e-9]
-        if keep and len(keep) < len(active):
-            active = keep
-            continue
-        result = (theta_p, lam, res)
-        break
-
-    if result is None:
-        # Fall back to plain Newton per active law (singleton active set).
-        j = int(np.argmax(family.values(best_theta)))
-        theta_p, val, res, it = _newton_minimize(family, j, best_theta, tol)
-        iterations += it
-        all_vals = family.values(theta_p)
-        if float(np.max(all_vals)) > val + 1e-9:
+    while upper - lower > tol:
+        if iterations == _IPM_CAP:
             raise ConvergenceError(
-                f"minimax polish failed; best residual {res}", residual=res
+                f"env_rho bracket [{lower!r}, {upper!r}] still wider than {tol} "
+                f"after {_IPM_CAP} Newton steps",
+                residual=upper - lower,
             )
-        lam = np.array([1.0])
-        active = [j]
-        result = (theta_p, lam, res)
-
-    theta_p, lam, res = result
-    all_vals = family.values(theta_p)
-    rho = float(np.max(all_vals))
-    if res > max(tol, 1e-9):
-        raise ConvergenceError(
-            f"minimax optimizer residual {res} above tolerance {tol} "
-            f"(active extreme points {tuple(active)})",
-            residual=res,
-        )
+        iterations += 1
+        we = w * np.exp(steps @ theta)  # (J, S)
+        vals, grads = we.sum(axis=1), we @ steps
+        target = 0.1 * float(lam @ s) / nlaws
+        ratio = lam / s
+        q = ratio * (vals - t + s) + target / s - lam
+        # Newton on sum_j lambda_j grad mgf_j = 0, sum_j lambda_j = 1,
+        # mgf_j - t + s_j = 0 and lambda_j s_j = target; eliminating the
+        # multipliers and slacks leaves one (d+1)x(d+1) solve in (theta, t).
+        kkt = np.empty((d + 1, d + 1))
+        kkt[:d, :d] = (steps.T * (lam @ we)) @ steps + (grads.T * ratio) @ grads
+        kkt[:d, d] = kkt[d, :d] = -(ratio @ grads)
+        kkt[d, d] = ratio.sum()
+        rhs = np.append(-(lam @ grads) - grads.T @ q, lam.sum() - 1.0 + q.sum())
+        step = np.linalg.solve(kkt, rhs)
+        dlam = ratio * (grads @ step[:d] - step[d]) + q
+        ds = target / lam - s - dlam / ratio
+        alpha = 1.0
+        for x, dx in ((lam, dlam), (s, ds)):
+            shrink = dx < 0.0
+            if np.any(shrink):
+                alpha = min(alpha, 0.99 * float(np.min(-x[shrink] / dx[shrink])))
+        theta = theta + alpha * step[:d]
+        t += alpha * step[d]
+        lam, s = lam + alpha * dlam, s + alpha * ds
+        val = float(np.max(family.values(theta)))
+        if val < upper:
+            upper, theta_star = val, theta
+        mix = lam / lam.sum()
+        val = _newton_minimize(_MgfFamily(spec.generator_set, [mix @ w]), 0, theta, tol)[1]
+        if val > lower:
+            lower, lam_lower = val, mix
     return SpectralResult(
-        rho=rho,
-        theta_star=theta_p,
-        active_extreme_points=tuple(sorted(active)),
+        rho=upper,
+        theta_star=theta_star,
+        active_extreme_points=tuple(int(j) for j in np.flatnonzero(lam_lower > 1e-6)),
         iterations=iterations,
-        residual=res,
+        residual=upper - lower,
     )
 
 

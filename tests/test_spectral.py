@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brwre import (
     EnvironmentSpec,
@@ -10,12 +12,15 @@ from brwre import (
     OffspringDistribution,
     PreconditionError,
     StepDistribution,
+    classify,
+    critical_m,
     env_rho,
     has_zero_drift,
     homogeneous_rho,
     mgf,
     nearest_neighbor_rho,
     power_iteration_rho,
+    value_iteration,
 )
 from brwre.presets import get_preset
 
@@ -147,6 +152,70 @@ class TestEnvRho:
         ]
         res = env_rho(make_spec(z2, laws))
         assert res.rho == pytest.approx(1.0, abs=1e-9)
+
+    def test_four_law_2d_zero_drift_support(self, z2):
+        weights = [
+            (0.084, 0.246, 0.522, 0.148),
+            (0.138, 0.284, 0.076, 0.502),
+            (0.193, 0.313, 0.198, 0.296),
+            (0.214, 0.057, 0.204, 0.525),
+        ]
+        spec = make_spec(z2, [StepDistribution(z2, w) for w in weights], gamma=0.05)
+        res = env_rho(spec, tol=1e-10)
+        assert abs(res.rho - 1.0) <= 1e-9
+        assert res.residual <= 1e-10
+        classify(spec)
+        value_iteration(spec, 1.2, 10)
+        critical_m(spec, 10, tol=1e-6)
+
+    def test_random_support_battery(self):
+        # d in {1, 2, 3} with 1-5 nearest-neighbour laws, weights U(0, 1) + 0.1
+        # before normalising
+        rng = np.random.default_rng(7)
+        tol = 1e-10
+        for _ in range(200):
+            spec = random_support(rng)
+            laws = spec.step_laws()
+            res = env_rho(spec, tol)
+            assert res.residual <= tol
+            for law in laws:
+                assert res.rho >= homogeneous_rho(law).rho - 1e-12
+            if has_zero_drift(spec)[0]:
+                assert abs(res.rho - 1.0) <= 1e-9
+            else:
+                assert res.rho < 1.0
+            if spec.generator_set.dimension == 1:
+                # the hull's homogeneous rho 2 sqrt(a(1-a)) peaks at the a nearest 1/2
+                ups = [law.weight((1,)) for law in laws]
+                a = min(max(0.5, min(ups)), max(ups))
+                assert abs(res.rho - 2.0 * math.sqrt(a * (1.0 - a))) <= res.residual + 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rho_depends_on_the_hull_only(self, data):
+        d = data.draw(st.integers(1, 3))
+        gen = GeneratorSet.nearest_neighbor(d)
+        rows = data.draw(st.lists(
+            st.lists(st.floats(0.1, 1.1), min_size=2 * d, max_size=2 * d), min_size=1, max_size=4))
+        laws = [StepDistribution(gen, tuple(np.array(r) / sum(r))) for r in rows]
+        order = data.draw(st.permutations(range(len(laws))))
+        mixes = data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=len(laws), max_size=len(laws)).filter(
+                lambda c: sum(c) > 0.1), max_size=3))
+        extra = []
+        for c in mixes:
+            w = np.array(c) / sum(c) @ np.array([law.weights for law in laws])
+            extra.append(StepDistribution(gen, tuple(w / w.sum())))
+        base = env_rho(make_spec(gen, laws))
+        other = env_rho(make_spec(gen, [laws[j] for j in order] + extra))
+        # both brackets hold the same value; 1e-12 allows for float rounding
+        assert abs(base.rho - other.rho) <= base.residual + other.residual + 1e-12
+
+
+def random_support(rng):
+    d = int(rng.integers(1, 4))
+    laws = [random_nn_law(rng, d, floor=0.1) for _ in range(int(rng.integers(1, 6)))]
+    return make_spec(GeneratorSet.nearest_neighbor(d), laws)
 
 
 def engineered_two_point(rng, d, zero_drift):
