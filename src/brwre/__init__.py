@@ -21,13 +21,10 @@ from .environment import (
     EnvironmentSpec,
     OffspringDistribution,
     RealizedEnvironment,
-    check,
-    check_walk,
     couple_lower,
     couple_raise,
     m_star,
     validate,
-    validate_walk,
 )
 from .errors import (
     BrwreError,

@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from .environment import validate_walk
 from .errors import ConvergenceError, PreconditionError
 from .spectral import env_rho
 
@@ -202,7 +201,6 @@ def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=
     BOUNDED requires a sweep to move no value by more than 1e-12 relative
     to the field's scale; INDETERMINATE means the sweep budget ran out.
     """
-    validate_walk(spec)
     if m <= 0.0:
         raise PreconditionError("m must be positive")
     if radius < 1:
@@ -257,7 +255,6 @@ def critical_m(spec, radius, tol, max_sweeps=None):
     midpoint is returned. ``max_sweeps`` bounds the sweeps (automatic by
     default); when it runs out, ConvergenceError carries the bracket.
     """
-    validate_walk(spec)
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
     if radius < 1:
@@ -280,13 +277,12 @@ def critical_m(spec, radius, tol, max_sweeps=None):
         "increase the sweep budget or loosen tol", residual=hi - lo)
 
 
-def harmonic_residual(field, spec, env):
+def harmonic_residual(field, env):
     """Worst relative defect of the balance equation m(x) * P f(x) = f(x).
 
     Checked on interior sites (those whose whole step neighborhood stays in
     the ball), x != origin, using the realized per-site laws of ``env``.
     """
-    validate_walk(spec)
     gen = env.spec.generator_set
     d = gen.dimension
     r = field.radius

@@ -31,25 +31,17 @@ class Verdict:
     method: str
     near_critical: bool
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "m_star": self.m_star,
-            "rho": self.rho,
-            "critical_m": self.critical_m,
-            "margin": self.margin,
-            "method": self.method,
-            "near_critical": self.near_critical,
-        }
-
 
 def classify(spec, tol=1e-8):
     """Classify the branching walk defined by ``spec``.
 
-    Uses the nearest-neighbor closed form for rho when it applies (single
-    step law on the nearest-neighbor set), the minimax optimizer otherwise.
-    The verdict is flagged near-critical when the margin is below ten times
-    the spectral tolerance.
+    The spec's walk-side invariants hold by construction; ``validate`` adds
+    the supercriticality the dichotomy assumes (m* > 1) and raises
+    EnvironmentValidationError otherwise. Uses the nearest-neighbor closed
+    form for rho when it applies (single step law on the nearest-neighbor
+    set), the certified minimax bracket of ``env_rho`` otherwise. The verdict
+    is flagged near-critical when the margin is below ten times the spectral
+    tolerance.
     """
     validate(spec)
     ms = m_star(spec)

@@ -7,6 +7,7 @@ are byte-identical.
 """
 
 import argparse
+from dataclasses import asdict
 import hashlib
 import json
 import sys
@@ -66,7 +67,7 @@ def _cmd_rho(cfg, out_dir):
 
 def _cmd_classify(cfg, out_dir):
     verdict = classify(cfg.spec, tol=cfg.run["tol"])
-    payload = _write_result(out_dir, "classify", cfg.effective_dict(), verdict.as_dict())
+    payload = _write_result(out_dir, "classify", cfg.effective_dict(), asdict(verdict))
     warn = " [near-critical]" if verdict.near_critical else ""
     print(f"{verdict.kind}: m* = {verdict.m_star:.12g} vs critical mean "
           f"1/rho = {verdict.critical_m:.12g} ({verdict.method}){warn}")

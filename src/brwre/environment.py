@@ -1,7 +1,11 @@
-"""Random environments: specification, validation, seeded realization, couplings.
+"""Random environments: specification, seeded realization, couplings.
 
 An environment assigns every lattice site an independent (step law,
-offspring law) pair drawn from the finite supports of the spec. The
+offspring law) pair drawn from the finite supports of the spec. A spec is
+valid by construction: building one checks the walk-side hypotheses of
+every result (weights summing to 1, uniform ellipticity on S'), so the
+simulator and the solvers take it as given. ``validate`` adds the one
+hypothesis of the classification, supercritical branching. The
 realization is storage free: the pair at a site is a pure hash of
 (seed, coordinates), so unbounded lattices and parallel replay both work.
 """
@@ -76,7 +80,14 @@ class OffspringDistribution:
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """Finite-support product environment: step laws and offspring laws with weights."""
+    """Finite-support product environment: step laws and offspring laws with weights.
+
+    Valid by construction: gamma > 0, both supports non-empty with weights
+    >= 0 that sum to 1, every step law on ``generator_set`` and uniformly
+    elliptic on its minimal subset S' (weight > gamma there). A spec that
+    breaks any of these raises EnvironmentValidationError listing each
+    violation. Supercriticality is not required here: ``validate`` checks it.
+    """
 
     generator_set: GeneratorSet
     step_support: tuple  # ((StepDistribution, prob), ...)
@@ -89,6 +100,29 @@ class EnvironmentSpec:
             self, "offspring_support", tuple((mu, float(w)) for mu, w in self.offspring_support)
         )
         object.__setattr__(self, "gamma", float(self.gamma))
+        violations = []
+        if self.gamma <= 0.0:
+            violations.append(f"gamma must be positive, got {self.gamma!r}")
+        for name, support in (("step", self.step_support), ("offspring", self.offspring_support)):
+            if not support:
+                violations.append(f"{name} support is empty")
+                continue
+            total = sum(w for _, w in support)
+            if abs(total - 1.0) > 1e-12:
+                violations.append(f"{name} support weights sum to {total!r}, not 1")
+            if any(w < 0.0 for _, w in support):
+                violations.append(f"{name} support has a negative weight")
+        for i, (law, _) in enumerate(self.step_support):
+            if law.generator_set != self.generator_set:
+                violations.append(f"step law {i} uses a different generator set")
+                continue
+            for s in law.ellipticity_violations(self.gamma):
+                violations.append(
+                    f"step law {i} violates ellipticity: weight({s}) = "
+                    f"{law.weight(s)!r} <= gamma = {self.gamma!r}"
+                )
+        if violations:
+            raise EnvironmentValidationError(violations)
 
     def step_laws(self):
         return tuple(p for p, _ in self.step_support)
@@ -97,63 +131,17 @@ class EnvironmentSpec:
         return tuple(mu for mu, _ in self.offspring_support)
 
 
-def check_walk(spec):
-    """Violations of the walk-side invariants (supports, weights, ellipticity)."""
-    violations = []
-    if spec.gamma <= 0.0:
-        violations.append(f"gamma must be positive, got {spec.gamma!r}")
-    if not spec.step_support:
-        violations.append("step support is empty")
-    if not spec.offspring_support:
-        violations.append("offspring support is empty")
-    for name, support in (("step", spec.step_support), ("offspring", spec.offspring_support)):
-        if support:
-            total = sum(w for _, w in support)
-            if abs(total - 1.0) > 1e-12:
-                violations.append(f"{name} support weights sum to {total!r}, not 1")
-            if any(w < 0.0 for _, w in support):
-                violations.append(f"{name} support has a negative weight")
-    for i, (law, _) in enumerate(spec.step_support):
-        if law.generator_set != spec.generator_set:
-            violations.append(f"step law {i} uses a different generator set")
-            continue
-        for s in law.ellipticity_violations(spec.gamma):
-            violations.append(
-                f"step law {i} violates ellipticity: weight({s}) = "
-                f"{law.weight(s)!r} <= gamma = {spec.gamma!r}"
-            )
-    return violations
-
-
-def check(spec):
-    """All violated invariants of ``spec``, as human-readable strings.
-
-    Beyond the walk-side checks this enforces m* > 1: every classification
-    statement assumes a supercritical branching environment. Degenerate
-    single-offspring environments stay usable in the simulator, which only
-    needs the walk-side invariants.
-    """
-    violations = check_walk(spec)
-    if spec.offspring_support:
-        ms = max(mu.mean for mu, _ in spec.offspring_support)
-        if ms <= 1.0:
-            violations.append(f"maximal mean offspring m* = {ms!r} <= 1 (no supercritical branching)")
-    return violations
-
-
 def validate(spec):
-    """Return ``spec`` unchanged if every invariant holds, else raise with the full report."""
-    violations = check(spec)
-    if violations:
-        raise EnvironmentValidationError(violations)
-    return spec
+    """Return ``spec`` if its branching is supercritical (m* > 1), else raise.
 
-
-def validate_walk(spec):
-    """Walk-side validation: what simulation and spectral machinery require."""
-    violations = check_walk(spec)
-    if violations:
-        raise EnvironmentValidationError(violations)
+    Every classification statement assumes m* > 1. The walk-side invariants
+    hold for any EnvironmentSpec, so this is the only check left; the
+    simulator does not need it and runs critical environments too.
+    """
+    ms = m_star(spec)
+    if ms <= 1.0:
+        raise EnvironmentValidationError(
+            [f"maximal mean offspring m* = {ms!r} <= 1 (no supercritical branching)"])
     return spec
 
 
@@ -197,7 +185,6 @@ class RealizedEnvironment:
     seed: int
 
     def __post_init__(self):
-        validate_walk(self.spec)
         object.__setattr__(self, "seed", int(self.seed) & 0xFFFFFFFFFFFFFFFF)
 
     def _cumulative(self, support):

@@ -92,16 +92,12 @@ class NuEstimate:
 
 @dataclass
 class BmcStarResult:
-    """One frozen-origin run: final tally plus a trace summary.
-
-    ``front`` is populated only when the run was asked to keep it.
-    """
+    """One frozen-origin run: final tally plus a trace summary."""
 
     nu_observed: int
     horizon: int
     saturated: bool
     population: np.ndarray  # total particles after each step (float summary)
-    front: ParticleFront = None
 
 
 @dataclass

@@ -23,7 +23,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .environment import validate_walk
 from .errors import ConvergenceError, MgfOverflowError, PreconditionError
 
 _EXP_LIMIT = 700.0
@@ -178,7 +177,6 @@ def env_rho(spec, tol=1e-10):
     epigraph problem min t s.t. mgf_j(theta) <= t move both until they are
     at most ``tol`` apart. The true value lies in [rho - residual, rho].
     """
-    validate_walk(spec)
     laws = spec.step_laws()
     for p in laws:
         _check_coercive(p)
@@ -301,7 +299,6 @@ def has_zero_drift(spec):
     witness) where the witness gives convex weights over the extreme
     points, aligned with ``spec.step_support``.
     """
-    validate_walk(spec)
     drifts = _exact_drifts(spec)
     d = spec.generator_set.dimension
     nlaws = len(drifts)

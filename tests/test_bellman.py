@@ -194,13 +194,13 @@ class TestHarmonicResidual:
         exact = solve_nu_field_exact(env, (0,), radius)
         values = np.array([exact[(x,)] for x in range(-radius, radius + 1)])
         field = ValueField(radius=radius, origin=(0,), m=1.2, values=values)
-        assert harmonic_residual(field, spec, env) <= 1e-8
+        assert harmonic_residual(field, env) <= 1e-8
 
     def test_constant_field_with_unit_mean(self):
         spec = singleton_spec((0.5, 0.5), {1: 1.0})
         env = RealizedEnvironment(spec, seed=2)
         field = ValueField(radius=8, origin=(0,), m=1.0, values=np.ones(17))
-        assert harmonic_residual(field, spec, env) == pytest.approx(0.0, abs=1e-14)
+        assert harmonic_residual(field, env) == pytest.approx(0.0, abs=1e-14)
 
     def test_monte_carlo_field_is_nearly_harmonic(self):
         spec = singleton_spec((0.9, 0.1), {1: 0.8, 2: 0.2})
@@ -216,7 +216,7 @@ class TestHarmonicResidual:
             values[x + radius] = est.mean
             errs[x + radius] = est.std_error
         field = ValueField(radius=radius, origin=(0,), m=1.2, values=values)
-        resid = harmonic_residual(field, spec, env)
+        resid = harmonic_residual(field, env)
         # after the m * P step the residual mixes neighbor errors; 3 combined
         # standard errors is the stated statistical budget
         law = spec.step_laws()[0]

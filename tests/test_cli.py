@@ -69,3 +69,17 @@ def test_every_preset_runs(tmp_path, preset):
         assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "simulate"),
                  "--replicates", "4", "--horizon", "20"]) == 0
+
+
+@pytest.mark.parametrize("body, needle", [
+    ("law = 1.0 0.0\n[offspring]\ndist = 2:1.0\n", "(-1,)"),  # not elliptic
+    ("law = 0.9 0.1\n[offspring]\ndist = 1:1.0\n", "m*"),  # m* = 1, not supercritical
+])
+def test_invalid_inline_config_is_refused(tmp_path, capsys, body, needle):
+    config = tmp_path / "bad.cfg"
+    config.write_text("[graph]\ndimension = 1\nsteps = 1; -1\n"
+                      "[environment]\ngamma = 0.05\n" + body)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", str(config), "--out", str(out)]) == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,6 @@ from brwre import (
     PreconditionError,
     RealizedEnvironment,
     StepDistribution,
-    check,
     couple_lower,
     couple_raise,
     m_star,
@@ -57,9 +56,8 @@ class TestValidate:
         assert validate(spec) is spec
 
     def test_ellipticity_violation_names_the_step(self):
-        spec = spec_z1([(1.0, 0.0)], [OffspringDistribution.point(2)])
         with pytest.raises(EnvironmentValidationError) as err:
-            validate(spec)
+            spec_z1([(1.0, 0.0)], [OffspringDistribution.point(2)])
         assert any("(-1,)" in v for v in err.value.violations)
 
     def test_subcritical_offspring_rejected(self):
@@ -68,19 +66,28 @@ class TestValidate:
             validate(spec)
 
     def test_all_violations_reported(self):
-        spec = spec_z1([(1.0, 0.0)], [OffspringDistribution.point(1)])
-        violations = check(spec)
-        assert len(violations) >= 2  # ellipticity and m*
+        gen = GeneratorSet.nearest_neighbor(1)
+        with pytest.raises(EnvironmentValidationError) as err:
+            EnvironmentSpec(
+                generator_set=gen,
+                step_support=((StepDistribution(gen, (1.0, 0.0)), 0.7),),
+                offspring_support=((OffspringDistribution.point(2), 1.0),),
+                gamma=0.05,
+            )
+        violations = err.value.violations
+        assert any("ellipticity" in v for v in violations)
+        assert any("sum" in v for v in violations)
 
     def test_weight_sum_violation(self):
         gen = GeneratorSet.nearest_neighbor(1)
-        spec = EnvironmentSpec(
-            generator_set=gen,
-            step_support=((StepDistribution(gen, (0.9, 0.1)), 0.7),),
-            offspring_support=((OffspringDistribution.point(2), 1.0),),
-            gamma=0.05,
-        )
-        assert any("sum" in v for v in check(spec))
+        with pytest.raises(EnvironmentValidationError) as err:
+            EnvironmentSpec(
+                generator_set=gen,
+                step_support=((StepDistribution(gen, (0.9, 0.1)), 0.7),),
+                offspring_support=((OffspringDistribution.point(2), 1.0),),
+                gamma=0.05,
+            )
+        assert any("sum" in v for v in err.value.violations)
 
 
 class TestMStar:
