@@ -15,12 +15,13 @@ Both answers rest on the companion iteration g -> K g = max_j P_j g, killed
 at the origin and outside the ball. Where g > 0 on a component closed under
 K, the least and the largest two-sweep ratio (K^2 g)(x) / g(x) bound the
 growth rate of K^2 there from below and above (Collatz-Wielandt); two
-sweeps, because the killed operator is typically bipartite. Value iteration
-diverges once a least ratio of m K exceeds 1 and the values pass a
-threshold (a bounded iterate can be astronomically large upstream of a
-drift). The truncated critical mean m(R) = 1 / lambda_R, lambda_R the growth
-rate of K, is bracketed by the same ratios; the bracket closes geometrically,
-and m(R) decreases to the reciprocal spectral radius as the radius grows.
+sweeps, because the killed operator is typically bipartite. The certificate
+is the divergence test: value iteration diverges at the first sweep whose
+least ratio of m K exceeds 1 on a component the origin feeds, since f then
+grows at least that fast there, however small its values still are. The
+truncated critical mean m(R) = 1 / lambda_R, lambda_R the growth rate of K,
+is bracketed by the same ratios; the bracket closes geometrically, and m(R)
+decreases to the reciprocal spectral radius as the radius grows.
 """
 
 from dataclasses import dataclass
@@ -173,12 +174,12 @@ class _Companion:
         self._scales = [1.0] * len(self.masks)
         self.sweeps = 0
 
-    def step(self, ratios=True):
+    def step(self):
         """One sweep; per component (least, largest) ratio once two sweeps ran."""
         g_next = self._next
         self.sweep.apply(self.g, g_next)
         g_next[self.killed] = 0.0
-        bounds = [] if ratios and self.sweeps > 0 else None
+        bounds = [] if self.sweeps > 0 else None
         for k, mask in enumerate(self.masks):
             part = g_next[mask]
             if bounds is not None:
@@ -193,22 +194,19 @@ class _Companion:
         return bounds
 
 
-def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=1.0):
+def value_iteration(spec, m, radius, max_sweeps=None, origin_value=1.0):
     """Monotone value iteration on the truncated ball.
 
-    DIVERGING requires both the max value to exceed ``blowup`` and a
-    rigorous growth certificate from the homogeneous companion iteration;
-    BOUNDED requires a sweep to move no value by more than 1e-12 relative
-    to the field's scale; INDETERMINATE means the sweep budget ran out.
+    The certificate is the divergence test: DIVERGING at the first sweep
+    whose companion ratios of m K certify growth above 1. BOUNDED requires
+    a sweep to move no value by more than 1e-12 relative to the field's
+    scale; INDETERMINATE means ``max_sweeps`` (0 or None: automatic) ran out.
     """
     if m <= 0.0:
         raise PreconditionError("m must be positive")
     if radius < 1:
         raise PreconditionError("radius must be >= 1")
-    if blowup <= 1.0:
-        raise PreconditionError("blowup must exceed 1")
-    if max_sweeps is None:
-        max_sweeps = 20 * radius
+    max_sweeps = max_sweeps or 20 * radius
     companion = _Companion(spec, radius, m)
     sweep, center = companion.sweep, companion.center
     f = np.zeros(companion.g.shape)
@@ -218,7 +216,6 @@ def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=
     status = INDETERMINATE
     sweeps = 0
     fmax = float(origin_value)
-    growth_certified = False
     f_frozen = False  # stop updating f past float-safe scale; status then rests on g
     for sweeps in range(1, max_sweeps + 1):
         increment = None
@@ -231,11 +228,8 @@ def value_iteration(spec, m, radius, max_sweeps=None, blowup=1e12, origin_value=
             if fmax > 1e250:
                 f_frozen = True
 
-        bounds = companion.step(ratios=not growth_certified)
-        if bounds is not None:
-            growth_certified = any(lo > 1.0 + _CW_MARGIN for lo, _ in bounds)
-
-        if growth_certified and fmax > blowup:
+        bounds = companion.step()
+        if bounds is not None and any(lo > 1.0 + _CW_MARGIN for lo, _ in bounds):
             status = DIVERGING
             break
         if increment is not None and increment < _INCREMENT_TOL * max(1.0, fmax):

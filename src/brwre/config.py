@@ -22,7 +22,6 @@ _RUN_DEFAULTS = {
     "radius": 80,
     "tol": 1e-8,
     "cap": COUNT_CAP_DEFAULT,
-    "blowup": 1e12,
     "max_sweeps": 0,  # 0 means automatic
     "x_start": None,  # defaults to the origin
     "origin": None,  # defaults to the zero vector
@@ -108,12 +107,12 @@ def _parse_int(raw, line, key, lo=None, hi=None):
     return v
 
 
-def _parse_float(raw, line, key, positive=False):
+def _parse_float(raw, line, key):
     try:
         v = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}' expects a number, got {raw!r}", line)
-    if positive and v <= 0.0:
+    if v <= 0.0:
         raise ConfigError(f"key '{key}' must be positive, got {v}", line)
     return v
 
@@ -248,15 +247,8 @@ def _convert_run_value(key, raw, line):
         return _parse_int(raw, line, key, lo=1, hi=COUNT_CAP_DEFAULT)
     if key in ("max_sweeps", "dist_index"):
         return _parse_int(raw, line, key, lo=0)
-    if key == "tol":
-        return _parse_float(raw, line, key, positive=True)
-    if key in ("m", "target_mean"):
-        return _parse_float(raw, line, key, positive=True)
-    if key == "blowup":
-        v = _parse_float(raw, line, key)
-        if v <= 1.0:
-            raise ConfigError(f"key 'blowup' must exceed 1, got {v}", line)
-        return v
+    if key in ("tol", "m", "target_mean"):
+        return _parse_float(raw, line, key)
     if key in ("x_start", "origin"):
         return _parse_vector(raw, line, key)
     if key == "direction":
@@ -297,7 +289,7 @@ def _build_inline_spec(scalars, repeated, take):
     if entry is None:
         raise ConfigError("missing [environment] gamma")
     g_line, g_raw = entry
-    gamma = _parse_float(g_raw, g_line, "gamma", positive=True)
+    gamma = _parse_float(g_raw, g_line, "gamma")
 
     if not repeated["law"]:
         raise ConfigError("missing [environment] law entries")

@@ -193,22 +193,22 @@ class RealizedEnvironment:
         c[-1] = 1.0  # guard float slack at the top
         return c
 
+    def _law_indices(self, coords, support, tag):
+        """Index into ``support`` for each site row in ``coords`` (n, d)."""
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, self.spec.generator_set.dimension)
+        if len(support) == 1:
+            return np.zeros(coords.shape[0], dtype=np.int64)
+        h = _site_hash(self.seed, coords)
+        u = _mix64(h ^ np.uint64(tag)).astype(np.float64) * 2.0 ** -64
+        return _indices_from_uniform(u, self._cumulative(support))
+
     def step_law_indices(self, coords):
         """Step-law index for each site row in ``coords`` (n, d)."""
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, self.spec.generator_set.dimension)
-        if len(self.spec.step_support) == 1:
-            return np.zeros(coords.shape[0], dtype=np.int64)
-        h = _site_hash(self.seed, coords)
-        u = _mix64(h ^ np.uint64(_STEP_TAG)).astype(np.float64) * 2.0 ** -64
-        return _indices_from_uniform(u, self._cumulative(self.spec.step_support))
+        return self._law_indices(coords, self.spec.step_support, _STEP_TAG)
 
     def offspring_law_indices(self, coords):
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, self.spec.generator_set.dimension)
-        if len(self.spec.offspring_support) == 1:
-            return np.zeros(coords.shape[0], dtype=np.int64)
-        h = _site_hash(self.seed, coords)
-        u = _mix64(h ^ np.uint64(_OFFSPRING_TAG)).astype(np.float64) * 2.0 ** -64
-        return _indices_from_uniform(u, self._cumulative(self.spec.offspring_support))
+        """Offspring-law index for each site row in ``coords`` (n, d)."""
+        return self._law_indices(coords, self.spec.offspring_support, _OFFSPRING_TAG)
 
     def site_law(self, x):
         """The (step law, offspring law) pair at site ``x``. Pure in (seed, x)."""

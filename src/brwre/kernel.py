@@ -158,16 +158,16 @@ def _box_shape(radius, dimension):
     return (2 * radius + 1,) * dimension
 
 
-def _shift_slices(shape, step, pad):
+def _shift_slices(shape, step):
     """(dst, src) slice tuples implementing q(x) += w * q_old(x - step)."""
     dst, src = [], []
     for n, s in zip(shape, step):
         if s >= 0:
-            dst.append(slice(s + pad, n))
-            src.append(slice(pad, n - s))
+            dst.append(slice(s, n))
+            src.append(slice(0, n - s))
         else:
-            dst.append(slice(pad, n + s))
-            src.append(slice(-s + pad, n))
+            dst.append(slice(0, n + s))
+            src.append(slice(-s, n))
     return tuple(dst), tuple(src)
 
 
@@ -178,7 +178,7 @@ def _convolve_step(q, out, steps, weights):
     for s, w in zip(steps, weights):
         if w == 0.0:
             continue
-        dst, src = _shift_slices(shape, s, 0)
+        dst, src = _shift_slices(shape, s)
         out[dst] += w * q[src]
 
 

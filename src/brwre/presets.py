@@ -15,13 +15,13 @@ def _offspring(masses):
     return ((OffspringDistribution(tuple(masses.items())), 1.0),)
 
 
-def _build(step_part, offspring_masses, gamma=0.05):
+def _build(step_part, offspring_masses):
     gen, support = step_part
     return EnvironmentSpec(
         generator_set=gen,
         step_support=support,
         offspring_support=_offspring(offspring_masses),
-        gamma=gamma,
+        gamma=0.05,
     )
 
 

@@ -337,7 +337,7 @@ def _star_result(steps, horizon):
     )
 
 
-def run_bmc_star(env, x0, x_start, horizon, cap=COUNT_CAP_DEFAULT, rng=None, seed=0):
+def run_bmc_star(env, x0, x_start, horizon, cap=COUNT_CAP_DEFAULT, seed=0):
     """Run the frozen-origin process and return the tally at the horizon.
 
     The first step is the plain process everywhere (the origin only starts
@@ -348,10 +348,8 @@ def run_bmc_star(env, x0, x_start, horizon, cap=COUNT_CAP_DEFAULT, rng=None, see
     """
     if horizon < 1:
         raise PreconditionError("horizon must be >= 1")
-    if rng is None:
-        rng = _rng_for(seed)
     tables = _EnvTables(env)
-    steps = _replicate(tables, tables.safe_cap(cap), rng, x_start, x0, 1, horizon)
+    steps = _replicate(tables, tables.safe_cap(cap), _rng_for(seed), x_start, x0, 1, horizon)
     return _star_result(steps, horizon)
 
 
@@ -377,7 +375,7 @@ def replicate_records(env, x0, x_start, replicates, horizon, cap=COUNT_CAP_DEFAU
     return out
 
 
-def gw_return_process(env, x0, generations, cap, horizon, rng=None, seed=0):
+def gw_return_process(env, x0, generations, cap, horizon, seed=0):
     """Generation sizes of the embedded return process, from a run started at x0.
 
     The ranked window with ``generations`` ranks: an arrival at the origin
@@ -389,13 +387,11 @@ def gw_return_process(env, x0, generations, cap, horizon, rng=None, seed=0):
     """
     if generations < 1:
         raise PreconditionError("generations must be >= 1")
-    if rng is None:
-        rng = _rng_for(seed)
     tables = _EnvTables(env)
     z = [0] * generations
     truncated = False
     for _, _, arrivals, clamped in _replicate(
-            tables, tables.safe_cap(cap), rng, x0, x0, generations, horizon):
+            tables, tables.safe_cap(cap), _rng_for(seed), x0, x0, generations, horizon):
         z = [a + b for a, b in zip(z, arrivals)]
         truncated = truncated or clamped
     return GwObservation(z=np.asarray(z), truncated=truncated)

@@ -100,11 +100,11 @@ def _check_coercive(p):
             )
 
 
-def _newton_minimize(family, j, theta0, tol, max_iter=_NEWTON_CAP):
+def _newton_minimize(family, j, theta0, tol):
     """Damped Newton with backtracking on a single smooth strictly convex mgf."""
     theta = np.array(theta0, dtype=float)
     val, grad, hess = family.value_grad_hess(theta, j)
-    for it in range(max_iter):
+    for it in range(_NEWTON_CAP):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             return theta, val, gnorm, it
@@ -131,7 +131,7 @@ def _newton_minimize(family, j, theta0, tol, max_iter=_NEWTON_CAP):
             f"Newton did not reach gradient tolerance {tol} (residual {gnorm})",
             residual=gnorm,
         )
-    return theta, val, gnorm, max_iter
+    return theta, val, gnorm, _NEWTON_CAP
 
 
 def homogeneous_rho(p, tol=1e-10):

@@ -20,7 +20,7 @@ from brwre import (
     value_iteration,
 )
 from brwre.bellman import _components
-from brwre.presets import get_preset
+from brwre.presets import PRESETS, get_preset
 
 from oracles import label_components_bfs, solve_nu_field_exact
 
@@ -117,8 +117,6 @@ class TestValueIteration:
             value_iteration(DRIFT, 0.0, 10)
         with pytest.raises(Exception):
             value_iteration(DRIFT, 1.2, 0)
-        with pytest.raises(Exception):
-            value_iteration(DRIFT, 1.2, 10, blowup=0.5)
 
 
 class TestCriticalM:
@@ -138,6 +136,16 @@ class TestCriticalM:
         mc = critical_m(DRIFT, 30, 0.02)
         assert value_iteration(DRIFT, mc + 0.05, 30, max_sweeps=40000).status == DIVERGING
         assert value_iteration(DRIFT, mc - 0.05, 30, max_sweeps=40000).status == BOUNDED
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_certificate_decides_divergence_early(self, preset):
+        # Above m(R) the companion ratios certify growth within a few sweeps,
+        # long before the field itself is large.
+        spec = get_preset(preset)
+        mc = critical_m(spec, 20, 1e-6)
+        above = value_iteration(spec, mc + 0.05, 20, max_sweeps=50)
+        assert above.status == DIVERGING
+        assert value_iteration(spec, mc - 0.05, 20, max_sweeps=40000).status == BOUNDED
 
     def test_monotone_in_radius(self):
         coarse = critical_m(DRIFT, 15, 0.005)

@@ -83,3 +83,24 @@ def test_invalid_inline_config_is_refused(tmp_path, capsys, body, needle):
     assert main(["classify", "--config", str(config), "--out", str(out)]) == 1
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_accepts_unit_mean(tmp_path):
+    # m* = 1 is no branching process to classify, but it can be simulated
+    config = tmp_path / "critical.cfg"
+    config.write_text("[graph]\ndimension = 1\nsteps = 1; -1\n[environment]\ngamma = 0.05\n"
+                      "law = 0.9 0.1\n[offspring]\ndist = 1:1.0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--replicates", "4", "--horizon", "20"]) == 0
+    assert json.loads((out / "result.json").read_text())["result"]["replicates"] == 4
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--seed", "1.5"), ("--radius", "0"), ("--tol", "x")])
+def test_bad_override_is_a_config_error(tmp_path, capsys, flag, value):
+    config = write_config(tmp_path, "drift-z1")
+    out = tmp_path / "out"
+    assert main(["rho", "--config", str(config), "--out", str(out), flag, value]) == 2
+    assert f"'{flag[2:]}'" in capsys.readouterr().err
+    assert not out.exists()

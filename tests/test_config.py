@@ -116,3 +116,9 @@ def test_unknown_entry_names_its_line(cfg, data):
     with pytest.raises(ConfigError) as err:
         parse_config("\n".join(lines) + "\n")
     assert err.value.line == line
+
+
+def test_removed_blowup_key_is_refused():
+    with pytest.raises(ConfigError, match="unknown key 'blowup'") as err:
+        parse_config("[environment]\npreset = drift-z1\n[run]\nblowup = 1e12\n")
+    assert err.value.line == 4
