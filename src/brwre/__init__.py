@@ -10,6 +10,7 @@ from .bellman import (
     BOUNDED,
     DIVERGING,
     INDETERMINATE,
+    CriticalMResult,
     ValueField,
     ValueIterationResult,
     critical_m,
@@ -40,7 +41,6 @@ from .kernel import (
     GeneratorSet,
     PowerIterationResult,
     StepDistribution,
-    n_step_return_prob,
     power_iteration_rho,
 )
 from .presets import PRESETS, get_preset

@@ -58,22 +58,25 @@ class ValueField:
         idx = tuple(c + self.radius for c in site)
         return float(self.values[idx])
 
-    def sites(self):
-        r = self.radius
-        d = self.values.ndim
-        for coords in product(range(-r, r + 1), repeat=d):
-            yield coords
-
-    def items(self):
-        for site in self.sites():
-            yield site, self.value_at(site)
-
 
 @dataclass
 class ValueIterationResult:
     status: str
     field: ValueField
     sweeps_used: int
+
+
+@dataclass(frozen=True)
+class CriticalMResult:
+    """The truncated critical mean ``value`` = midpoint of the certified
+    bracket [lo, hi], after ``sweeps`` companion sweeps; ``rho`` is the
+    ``env_rho`` upper end whose tilt seeded them."""
+
+    value: float
+    lo: float
+    hi: float
+    sweeps: int
+    rho: float
 
 
 def _sweep_views(shape, steps, pad):
@@ -169,7 +172,9 @@ class _Companion:
         self.sweep.apply(pin, pin)  # in place is safe: apply copies its input first
         self.masks = [labels == c for c in sorted(set(labels[pin > 0.0].tolist()))]
         self.killed = ~np.any(self.masks, axis=0)
-        self.g = _companion_seed(shape, radius, self.masks, env_rho(spec).theta_star)
+        seed = env_rho(spec)
+        self.rho = seed.rho
+        self.g = _companion_seed(shape, radius, self.masks, seed.theta_star)
         self._next, self._two_back = np.empty(shape), np.empty(shape)
         self._scales = [1.0] * len(self.masks)
         self.sweeps = 0
@@ -245,9 +250,10 @@ def critical_m(spec, radius, tol, max_sweeps=None):
 
     Each sweep of the companion iteration at m = 1 certifies m(R) in
     [1 / sqrt(max_C largest ratio), 1 / sqrt(max_C least ratio)] over its
-    components C; once these brackets meet in one at most ``tol`` wide, its
-    midpoint is returned. ``max_sweeps`` bounds the sweeps (automatic by
-    default); when it runs out, ConvergenceError carries the bracket.
+    components C; once these brackets meet in one at most ``tol`` wide, a
+    ``CriticalMResult`` carries it and its midpoint. ``max_sweeps`` bounds
+    the sweeps (automatic by default); when it runs out, ConvergenceError
+    carries the bracket.
     """
     if tol <= 0.0:
         raise PreconditionError("tol must be positive")
@@ -265,7 +271,8 @@ def critical_m(spec, radius, tol, max_sweeps=None):
         lo = max(lo, 1.0 / math.sqrt(largest))
         hi = min(hi, 1.0 / math.sqrt(least) if least > 0.0 else math.inf)
         if hi - lo <= tol:
-            return 0.5 * (lo + hi)
+            return CriticalMResult(value=0.5 * (lo + hi), lo=lo, hi=hi,
+                                   sweeps=companion.sweeps, rho=companion.rho)
     raise ConvergenceError(
         f"critical mean only bracketed in [{lo!r}, {hi!r}] after {budget} sweeps; "
         "increase the sweep budget or loosen tol", residual=hi - lo)

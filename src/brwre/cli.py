@@ -1,14 +1,24 @@
 """Command-line entry point: experiment orchestration with reproducible outputs.
 
+    brwre COMMAND --config PATH [--seed N] [--out DIR] [--replicates N]
+                  [--horizon N] [--radius N] [--tol X] [--cap N]
+
+COMMAND is one of ``rho``, ``classify``, ``bellman``, ``simulate`` and
+``couple``. Every command reads the same config file and takes the same
+override flags, each of which replaces the ``[run]`` key of its name and
+passes the same validator. One flat parser, built per call, reads them.
+
 Every run writes a ``result.json`` whose header carries the effective
 configuration (defaults filled in), its hash, and the master seed, so a
 result file is self-describing and reruns with the same config and seed
-are byte-identical.
+are byte-identical. ``bellman`` with ``[run] m`` also writes ``field.csv``
+and ``simulate`` writes ``replicates.jsonl``, under the same header.
 """
 
 import argparse
 from dataclasses import asdict
 import hashlib
+from itertools import product
 import json
 import sys
 from pathlib import Path
@@ -91,8 +101,8 @@ def _cmd_bellman(cfg, out_dir):
         print(f"value iteration at m = {run['m']}: {res.status} "
               f"after {res.sweeps_used} sweeps (field.csv written)")
     else:
-        m_crit = critical_m(cfg.spec, run["radius"], run["tol"], max_sweeps=run["max_sweeps"])
-        rho = env_rho(cfg.spec).rho
+        crit = critical_m(cfg.spec, run["radius"], run["tol"], max_sweeps=run["max_sweeps"])
+        m_crit, rho = crit.value, crit.rho
         result = {
             "mode": "critical-m",
             "critical_m": m_crit,
@@ -113,8 +123,10 @@ def _write_field_csv(path, field, payload):
               f"# master_seed={payload['master_seed']}"]
     cols = [f"x{i + 1}" for i in range(d)] if d > 1 else ["x"]
     lines = header + [",".join(cols + ["value"])]
-    for site, value in field.items():
-        lines.append(",".join(str(c) for c in site) + f",{value!r}")
+    axis = [str(c) for c in range(-field.radius, field.radius + 1)]
+    sites = product(axis, repeat=d)  # C order, as ravel() reads the values
+    lines += [f"{','.join(site)},{value!r}"
+              for site, value in zip(sites, field.values.ravel().tolist())]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -183,12 +195,10 @@ def _build_parser():
         prog="brwre",
         description="Classify and simulate branching random walks in random environment.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the experiment config")
-        for flag in _OVERRIDE_FLAGS:
-            p.add_argument(f"--{flag}", help=f"override [run] {flag}")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the experiment config")
+    for flag in _OVERRIDE_FLAGS:
+        parser.add_argument(f"--{flag}", help=f"override [run] {flag}")
     return parser
 
 

@@ -182,27 +182,6 @@ def _convolve_step(q, out, steps, weights):
         out[dst] += w * q[src]
 
 
-def n_step_return_prob(p, n):
-    """Exact probability p^(n)(0,0) of returning to the origin in n steps.
-
-    Computed by n dense convolutions on the box of radius n * max|s|, which
-    no probability mass can leave, so truncation is exact.
-    """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    gen = p.generator_set
-    radius = n * gen.max_step_norm
-    shape = _box_shape(radius, gen.dimension)
-    q = np.zeros(shape)
-    center = (radius,) * gen.dimension
-    q[center] = 1.0
-    buf = np.empty_like(q)
-    for _ in range(n):
-        _convolve_step(q, buf, gen.steps, p.weights)
-        q, buf = buf, q
-    return float(q[center])
-
-
 @dataclass(frozen=True)
 class PowerIterationResult:
     """Even-step return probabilities and the spectral radius estimate they imply.

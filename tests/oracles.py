@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from brwre.errors import PreconditionError
+from brwre.kernel import _box_shape
+
 
 def brute_force_return_prob(p, n):
     """p^(n)(0,0) by summing over all |S|^n step sequences."""
@@ -26,6 +29,37 @@ def brute_force_return_prob(p, n):
         if all(c == 0 for c in pos):
             total += w
     return total
+
+
+def n_step_return_prob(p, n):
+    """Exact p^(n)(0,0) by n dense convolutions with ``np.roll``.
+
+    The box of radius n * max|s| holds every n-step path, so no mass wraps
+    around. Only the box-size guard is the library's own.
+    """
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    gen = p.generator_set
+    radius = n * gen.max_step_norm
+    q = np.zeros(_box_shape(radius, gen.dimension))
+    center = (radius,) * gen.dimension
+    q[center] = 1.0
+    axes = tuple(range(gen.dimension))
+    for _ in range(n):
+        q = sum(w * np.roll(q, s, axis=axes) for s, w in zip(gen.steps, p.weights) if w)
+    return float(q[center])
+
+
+def field_csv_reference(field, config_hash, master_seed):
+    """``field.csv`` as written by one ``value_at`` call per site of the ball."""
+    d = field.values.ndim
+    cols = [f"x{i + 1}" for i in range(d)] if d > 1 else ["x"]
+    lines = [f"# config_hash={config_hash}", f"# master_seed={master_seed}",
+             ",".join(cols + ["value"])]
+    r = field.radius
+    for site in product(range(-r, r + 1), repeat=d):
+        lines.append(",".join(str(c) for c in site) + f",{field.value_at(site)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def first_return_prob(p_right, q_left, n):

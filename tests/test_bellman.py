@@ -121,19 +121,19 @@ class TestValueIteration:
 
 class TestCriticalM:
     def test_drifted_singleton(self):
-        mc = critical_m(DRIFT, 40, 0.01)
+        mc = critical_m(DRIFT, 40, 0.01).value
         assert abs(mc * 0.6 - 1.0) <= 0.02
 
     def test_symmetric_singleton(self):
-        mc = critical_m(get_preset("symmetric-z1"), 40, 0.01)
+        mc = critical_m(get_preset("symmetric-z1"), 40, 0.01).value
         assert abs(mc - 1.0) <= 0.02
 
     def test_zero_drift_pair(self):
-        mc = critical_m(get_preset("zero-drift-pair"), 40, 0.01)
+        mc = critical_m(get_preset("zero-drift-pair"), 40, 0.01).value
         assert abs(mc - 1.0) <= 0.02
 
     def test_threshold_brackets_behaviour(self):
-        mc = critical_m(DRIFT, 30, 0.02)
+        mc = critical_m(DRIFT, 30, 0.02).value
         assert value_iteration(DRIFT, mc + 0.05, 30, max_sweeps=40000).status == DIVERGING
         assert value_iteration(DRIFT, mc - 0.05, 30, max_sweeps=40000).status == BOUNDED
 
@@ -142,14 +142,14 @@ class TestCriticalM:
         # Above m(R) the companion ratios certify growth within a few sweeps,
         # long before the field itself is large.
         spec = get_preset(preset)
-        mc = critical_m(spec, 20, 1e-6)
+        mc = critical_m(spec, 20, 1e-6).value
         above = value_iteration(spec, mc + 0.05, 20, max_sweeps=50)
         assert above.status == DIVERGING
         assert value_iteration(spec, mc - 0.05, 20, max_sweeps=40000).status == BOUNDED
 
     def test_monotone_in_radius(self):
-        coarse = critical_m(DRIFT, 15, 0.005)
-        fine = critical_m(DRIFT, 45, 0.005)
+        coarse = critical_m(DRIFT, 15, 0.005).value
+        fine = critical_m(DRIFT, 45, 0.005).value
         assert fine <= coarse + 0.01
 
     @pytest.mark.parametrize("radius", [3, 10, 30, 80])
@@ -157,16 +157,25 @@ class TestCriticalM:
     def test_single_law_matches_killed_walk(self, preset, radius):
         spec = get_preset(preset)
         exact = killed_walk_threshold(spec.step_laws()[0].weights, radius)
-        assert abs(critical_m(spec, radius, 1e-10) - exact) <= 1e-10
+        assert abs(critical_m(spec, radius, 1e-10).value - exact) <= 1e-10
 
     @pytest.mark.parametrize("preset", ["drift-pair-z1", "strong-drift-pair", "zero-drift-pair"])
     def test_between_env_rho_and_best_single_law(self, preset):
         # The max-operator switches laws from site to site, so it grows at
         # least as fast as the best single law and at most at rate rho.
         spec, radius, tol = get_preset(preset), 30, 1e-8
-        mc = critical_m(spec, radius, tol)
+        mc = critical_m(spec, radius, tol).value
         best = min(killed_walk_threshold(p.weights, radius) for p in spec.step_laws())
         assert 1.0 / env_rho(spec).rho - tol <= mc <= best + tol
+
+    @pytest.mark.parametrize("preset", ["drift-z1", "drift-pair-z1", "nn-z2"])
+    def test_result_carries_its_bracket(self, preset):
+        spec = get_preset(preset)
+        res = critical_m(spec, 20, 1e-6)
+        assert res.lo <= res.value <= res.hi and res.hi - res.lo <= 1e-6
+        assert res.value == 0.5 * (res.lo + res.hi)
+        assert res.sweeps >= 2
+        assert res.rho == env_rho(spec).rho
 
     def test_exhausted_budget_reports_the_bracket(self):
         with pytest.raises(ConvergenceError, match="bracketed in") as err:
@@ -253,6 +262,6 @@ class TestTheorySync:
     def test_critical_product_with_env_rho(self):
         for name in ("drift-z1", "drift-pair-z1"):
             spec = get_preset(name)
-            mc = critical_m(spec, 40, 0.01)
+            mc = critical_m(spec, 40, 0.01).value
             rho = env_rho(spec).rho
             assert 0.97 <= mc * rho <= 1.03

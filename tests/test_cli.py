@@ -4,9 +4,14 @@ import statistics
 
 import pytest
 
+import brwre.bellman
+import brwre.cli
 import brwre.simulator
-from brwre import PRESETS, get_preset, validate
-from brwre.cli import main
+from brwre import PRESETS, env_rho, get_preset, validate, value_iteration
+from brwre.cli import _COMMANDS, _OVERRIDE_FLAGS, _build_parser, main
+from brwre.config import parse_config
+
+from oracles import field_csv_reference
 
 
 def write_config(tmp_path, preset):
@@ -104,3 +109,68 @@ def test_bad_override_is_a_config_error(tmp_path, capsys, flag, value):
     assert main(["rho", "--config", str(config), "--out", str(out), flag, value]) == 2
     assert f"'{flag[2:]}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_command_takes_every_override(self, command):
+        flags = [a for i, flag in enumerate(_OVERRIDE_FLAGS) for a in (f"--{flag}", str(i))]
+        args = _build_parser().parse_args([command, "--config", "c.cfg", *flags])
+        assert (args.command, args.config) == (command, "c.cfg")
+        assert [getattr(args, flag) for flag in _OVERRIDE_FLAGS] == [
+            str(i) for i in range(len(_OVERRIDE_FLAGS))]
+
+    @pytest.mark.parametrize("argv", [["nope", "--config", "c.cfg"], ["rho"]])
+    def test_unknown_command_or_missing_config_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, "drift-z1")
+        assert main(["rho", "--config", str(config), "--out", "first", "--tol", "1e-6"]) == 0
+        assert main(["rho", "--config", str(config)]) == 0
+        tols = [json.loads((tmp_path / out / "result.json").read_text())
+                ["effective_config"]["run"]["tol"] for out in ("first", "out")]
+        assert tols == [1e-6, 1e-8]
+
+
+# A 2-D law without the x1 <-> x2 symmetry, so a transposed field would show.
+_SKEWED_Z2 = ("[graph]\ndimension = 2\nsteps = 1 0; -1 0; 0 1; 0 -1\n"
+              "[environment]\ngamma = 0.05\nlaw = 0.5 0.1 0.3 0.1\n"
+              "[offspring]\ndist = 1:0.8 2:0.2\n")
+
+
+@pytest.mark.parametrize("body, radius", [("[environment]\npreset = drift-z1\n", 12),
+                                          (_SKEWED_Z2, 6)])
+def test_field_csv_matches_per_site_reference(tmp_path, body, radius):
+    config = tmp_path / "vi.cfg"
+    config.write_text(body + "[run]\nm = 1.2\n")
+    out = tmp_path / "out"
+    assert main(["bellman", "--config", str(config), "--out", str(out),
+                 "--radius", str(radius)]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    field = value_iteration(parse_config(config.read_text()).spec, 1.2, radius).field
+    expected = field_csv_reference(field, payload["config_hash"], payload["master_seed"])
+    written = (out / "field.csv").read_text()
+    assert written == expected
+    assert len(written.splitlines()) == 3 + (2 * radius + 1) ** field.values.ndim
+
+
+@pytest.mark.parametrize("preset", ["drift-z1", "drift-pair-z1", "nn-z2"])
+def test_critical_m_bellman_solves_env_rho_once(tmp_path, monkeypatch, preset):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return env_rho(*args, **kwargs)
+
+    monkeypatch.setattr(brwre.bellman, "env_rho", counting)
+    monkeypatch.setattr(brwre.cli, "env_rho", counting)
+    out = tmp_path / "out"
+    assert main(["bellman", "--config", str(write_config(tmp_path, preset)),
+                 "--out", str(out), "--radius", "10", "--tol", "1e-4"]) == 0
+    assert len(calls) == 1
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert result["rho"] == env_rho(get_preset(preset)).rho

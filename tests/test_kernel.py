@@ -7,11 +7,10 @@ from brwre import (
     PreconditionError,
     ResourceLimitError,
     StepDistribution,
-    n_step_return_prob,
     power_iteration_rho,
 )
 
-from oracles import brute_force_return_prob
+from oracles import brute_force_return_prob, n_step_return_prob
 
 
 class TestGeneratorSet:
