@@ -14,7 +14,6 @@ from .bellman import (
     ValueField,
     ValueIterationResult,
     critical_m,
-    harmonic_residual,
     value_iteration,
 )
 from .classify import STRONGLY_RECURRENT, TRANSIENT, Verdict, classify
@@ -49,13 +48,11 @@ from .simulator import (
     BmcStarResult,
     GwObservation,
     NuEstimate,
-    ParticleFront,
     estimate_alpha,
     estimate_nu,
     gw_return_process,
     replicate_records,
     run_bmc_star,
-    step_bmc,
 )
 from .spectral import (
     SpectralResult,

@@ -25,7 +25,6 @@ decreases to the reciprocal spectral radius as the radius grows.
 """
 
 from dataclasses import dataclass
-from itertools import product
 import math
 
 import numpy as np
@@ -44,14 +43,12 @@ _AUTO_SWEEPS = 20  # per squared radius: the bracket closes at a rate ~ 1 / radi
 
 @dataclass
 class ValueField:
-    """Values on the ball {|x|_inf <= radius}, with the origin pinned.
+    """Values on the ball {|x|_inf <= radius}, with the origin pinned to 1.
 
     ``values`` is a dense (2R+1)^d array, origin at the center index.
     """
 
     radius: int
-    origin: tuple
-    m: float
     values: np.ndarray
 
     def value_at(self, site):
@@ -199,7 +196,7 @@ class _Companion:
         return bounds
 
 
-def value_iteration(spec, m, radius, max_sweeps=None, origin_value=1.0):
+def value_iteration(spec, m, radius, max_sweeps=None):
     """Monotone value iteration on the truncated ball.
 
     The certificate is the divergence test: DIVERGING at the first sweep
@@ -215,18 +212,18 @@ def value_iteration(spec, m, radius, max_sweeps=None, origin_value=1.0):
     companion = _Companion(spec, radius, m)
     sweep, center = companion.sweep, companion.center
     f = np.zeros(companion.g.shape)
-    f[center] = origin_value
+    f[center] = 1.0
     f_next = np.empty(f.shape)
 
     status = INDETERMINATE
     sweeps = 0
-    fmax = float(origin_value)
+    fmax = 1.0
     f_frozen = False  # stop updating f past float-safe scale; status then rests on g
     for sweeps in range(1, max_sweeps + 1):
         increment = None
         if not f_frozen:
             sweep.apply(f, f_next)
-            f_next[center] = origin_value
+            f_next[center] = 1.0
             fmax = float(f_next.max())
             increment = float(np.max(f_next - f))
             np.copyto(f, f_next)
@@ -241,7 +238,7 @@ def value_iteration(spec, m, radius, max_sweeps=None, origin_value=1.0):
             status = BOUNDED
             break
 
-    field = ValueField(radius=radius, origin=(0,) * f.ndim, m=m, values=f)
+    field = ValueField(radius=radius, values=f)
     return ValueIterationResult(status=status, field=field, sweeps_used=sweeps)
 
 
@@ -277,27 +274,3 @@ def critical_m(spec, radius, tol, max_sweeps=None):
         f"critical mean only bracketed in [{lo!r}, {hi!r}] after {budget} sweeps; "
         "increase the sweep budget or loosen tol", residual=hi - lo)
 
-
-def harmonic_residual(field, env):
-    """Worst relative defect of the balance equation m(x) * P f(x) = f(x).
-
-    Checked on interior sites (those whose whole step neighborhood stays in
-    the ball), x != origin, using the realized per-site laws of ``env``.
-    """
-    gen = env.spec.generator_set
-    d = gen.dimension
-    r = field.radius
-    interior = r - gen.max_step_norm
-    worst = 0.0
-    for site in product(range(-interior, interior + 1), repeat=d):
-        if all(c == 0 for c in site):
-            continue
-        step_law, offspring_law = env.site_law(site)
-        pf = 0.0
-        for s, w in zip(gen.steps, step_law.weights):
-            neighbor = tuple(a + b for a, b in zip(site, s))
-            pf += w * field.value_at(neighbor)
-        fx = field.value_at(site)
-        defect = abs(offspring_law.mean * pf - fx) / max(fx, 1.0)
-        worst = max(worst, defect)
-    return worst

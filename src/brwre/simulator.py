@@ -36,28 +36,6 @@ COUNT_CAP_DEFAULT = 2 ** 63 - 1
 
 
 @dataclass
-class ParticleFront:
-    """Exact per-site particle counts of one branching-walk state.
-
-    ``counts`` maps occupied sites to active-particle counts (Python ints,
-    so arbitrary precision at rest). ``frozen`` counts particles stopped at
-    ``origin`` (frozen-origin mode only; origin None means the plain
-    process). Active particles at the origin are legitimate only at time 0;
-    afterwards arrivals freeze.
-    """
-
-    time: int
-    counts: dict
-    frozen: int = 0
-    origin: tuple = None
-    saturated: bool = False
-
-    @property
-    def total(self):
-        return sum(self.counts.values()) + self.frozen
-
-
-@dataclass
 class NuEstimate:
     """Monte Carlo estimate of the expected frozen-origin tally."""
 
@@ -140,7 +118,7 @@ class _EnvTables:
     def safe_cap(self, cap):
         # Keep every intermediate (branch totals, per-site accumulation over
         # all steps) strictly inside int64.
-        bound = (2 ** 63 - 1) // (self.kmax * self.nsteps)
+        bound = COUNT_CAP_DEFAULT // (self.kmax * self.nsteps)
         return min(int(cap), bound)
 
 
@@ -241,53 +219,6 @@ def _advance(counts, lo, tables, rng, origin, cap_eff):
 
     new, new_lo = _trim(new, new_lo)
     return new, new_lo, arrivals, clamped
-
-
-def _dict_to_window(counts_dict, d, cap_eff):
-    if not counts_dict:
-        return np.zeros((0,) * d, dtype=np.int64), np.zeros(d, dtype=np.int64), False
-    sites = np.asarray([tuple(s) for s in counts_dict], dtype=np.int64).reshape(-1, d)
-    lo = sites.min(axis=0)
-    hi = sites.max(axis=0)
-    arr = np.zeros(tuple(hi - lo + 1), dtype=np.int64)
-    clamped = False
-    for site, c in counts_dict.items():
-        c = int(c)
-        if c < 0:
-            raise PreconditionError(f"negative count at {site}")
-        if c > cap_eff:
-            c = cap_eff
-            clamped = True
-        arr[tuple(np.asarray(site, dtype=np.int64) - lo)] = c
-    return arr, lo, clamped
-
-
-def _window_to_dict(counts, lo):
-    out = {}
-    for idx in zip(*np.nonzero(counts)):
-        site = tuple(int(l + i) for l, i in zip(lo, idx))
-        out[site] = int(counts[idx])
-    return out
-
-
-def step_bmc(front, env, rng, cap=COUNT_CAP_DEFAULT):
-    """Advance a ParticleFront by one exact branch-then-move step.
-
-    With ``front.origin`` set, particles arriving at the origin join the
-    frozen tally instead of the active counts.
-    """
-    tables = _EnvTables(env)
-    cap_eff = tables.safe_cap(cap)
-    counts, lo, clamped_in = _dict_to_window(front.counts, tables.d, cap_eff)
-    counts, lo, arrivals, clamped = _advance(
-        counts[None], lo, tables, rng, front.origin, cap_eff)
-    return ParticleFront(
-        time=front.time + 1,
-        counts=_window_to_dict(counts[0], lo),
-        frozen=front.frozen + arrivals[0],
-        origin=front.origin,
-        saturated=front.saturated or clamped_in or clamped,
-    )
 
 
 def _rng_for(master_seed, replicate=None):

@@ -62,6 +62,31 @@ def field_csv_reference(field, config_hash, master_seed):
     return "\n".join(lines) + "\n"
 
 
+def harmonic_residual(field, env):
+    """Worst relative defect of the balance equation m(x) * P f(x) = f(x).
+
+    Checked on interior sites (those whose whole step neighborhood stays in
+    the ball), x != origin, using the realized per-site laws of ``env``.
+    """
+    gen = env.spec.generator_set
+    d = gen.dimension
+    r = field.radius
+    interior = r - gen.max_step_norm
+    worst = 0.0
+    for site in product(range(-interior, interior + 1), repeat=d):
+        if all(c == 0 for c in site):
+            continue
+        step_law, offspring_law = env.site_law(site)
+        pf = 0.0
+        for s, w in zip(gen.steps, step_law.weights):
+            neighbor = tuple(a + b for a, b in zip(site, s))
+            pf += w * field.value_at(neighbor)
+        fx = field.value_at(site)
+        defect = abs(offspring_law.mean * pf - fx) / max(fx, 1.0)
+        worst = max(worst, defect)
+    return worst
+
+
 def first_return_prob(p_right, q_left, n):
     """First-return-to-0 probability at time n for the biased walk on Z."""
     if n % 2 or n == 0:
@@ -180,9 +205,15 @@ def _scatter(acc, site, split, steps):
     return out
 
 
-def front_atom(front):
-    """The (frozen, sorted counts) atom of a ParticleFront, for comparisons."""
-    return front.frozen, tuple(sorted(front.counts.items()))
+def window_atom(frozen, counts, lo):
+    """The (frozen, sorted counts) atom of a one-rank window, for comparisons.
+
+    ``counts`` has shape (1, *window) and ``lo`` is the window's lower corner.
+    """
+    window = counts[0]
+    items = ((tuple(int(l + i) for l, i in zip(lo, idx)), int(window[idx]))
+             for idx in zip(*np.nonzero(window)))
+    return frozen, tuple(sorted(items))
 
 
 def zero_in_hull_1d(drifts):
