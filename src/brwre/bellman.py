@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
+from .kernel import _sweep_views
 from .spectral import env_rho
 
 BOUNDED = "bounded"
@@ -74,13 +75,6 @@ class CriticalMResult:
     hi: float
     sweeps: int
     rho: float
-
-
-def _sweep_views(shape, steps, pad):
-    return [
-        tuple(slice(pad + c, n + pad + c) for n, c in zip(shape, s))
-        for s in steps
-    ]
 
 
 def _components(shape, center, moves):

@@ -3,10 +3,10 @@
     brwre COMMAND --config PATH [--seed N] [--out DIR] [--replicates N]
                   [--horizon N] [--radius N] [--tol X] [--cap N]
 
-COMMAND is one of ``rho``, ``classify``, ``bellman``, ``simulate`` and
-``couple``. Every command reads the same config file and takes the same
-override flags, each of which replaces the ``[run]`` key of its name and
-passes the same validator. One flat parser, built per call, reads them.
+COMMAND is one of ``bellman``, ``classify``, ``rho`` and ``simulate``.
+Every command reads the same config file and takes the same override
+flags, each of which replaces the ``[run]`` key of its name and passes the
+same validator. One flat parser, built per call, reads them.
 
 Every run writes a ``result.json`` whose header carries the effective
 configuration (defaults filled in), its hash, and the master seed, so a
@@ -25,9 +25,9 @@ from pathlib import Path
 
 from .bellman import critical_m, value_iteration
 from .classify import classify
-from .config import _convert_run_value, parse_config
+from .config import _RUN_KEYS, parse_config
 # validate stays bound here because the benchmark's tracer patches brwre.cli.validate.
-from .environment import RealizedEnvironment, couple_lower, couple_raise, validate  # noqa: F401
+from .environment import RealizedEnvironment, validate  # noqa: F401
 from .errors import BrwreError, ConfigError
 # estimate_nu stays bound here because the benchmark's tracer patches brwre.cli.estimate_nu.
 from .simulator import NuEstimate, estimate_nu, replicate_records  # noqa: F401
@@ -156,37 +156,11 @@ def _cmd_simulate(cfg, out_dir):
     return payload
 
 
-def _cmd_couple(cfg, out_dir):
-    run = cfg.run
-    if run["target_mean"] is None or run["direction"] is None:
-        raise ConfigError("couple requires [run] target_mean and direction")
-    laws = cfg.spec.offspring_laws()
-    idx = run["dist_index"]
-    if idx >= len(laws):
-        raise ConfigError(f"dist_index {idx} out of range for {len(laws)} offspring laws")
-    mu = laws[idx]
-    op = couple_raise if run["direction"] == "raise" else couple_lower
-    coupled = op(mu, run["target_mean"])
-    result = {
-        "direction": run["direction"],
-        "target_mean": run["target_mean"],
-        "original": {str(k): w for k, w in mu.support},
-        "original_mean": mu.mean,
-        "coupled": {str(k): w for k, w in coupled.support},
-        "coupled_mean": coupled.mean,
-    }
-    payload = _write_result(out_dir, "couple", cfg.effective_dict(), result)
-    print(f"coupled mean {mu.mean:.6g} -> {coupled.mean:.6g} "
-          f"({run['direction']}, support {sorted(dict(coupled.support))})")
-    return payload
-
-
 _COMMANDS = {
     "rho": _cmd_rho,
     "classify": _cmd_classify,
     "bellman": _cmd_bellman,
     "simulate": _cmd_simulate,
-    "couple": _cmd_couple,
 }
 
 
@@ -216,7 +190,7 @@ def main(argv=None):
             if value is None:
                 continue
             # Route overrides through the same validators as config values.
-            cfg.run[flag] = _convert_run_value(flag, value, None)
+            cfg.run[flag] = _RUN_KEYS[flag][1](value, None, flag)
         out_dir = Path(cfg.run["out"])
         _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:

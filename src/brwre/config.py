@@ -8,29 +8,13 @@ defaults in a numerical experiment.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .environment import EnvironmentSpec, OffspringDistribution
 from .errors import ConfigError
 from .kernel import GeneratorSet, StepDistribution
 from .presets import get_preset
 from .simulator import COUNT_CAP_DEFAULT
-
-_RUN_DEFAULTS = {
-    "seed": 0,
-    "horizon": 200,
-    "replicates": 1000,
-    "radius": 80,
-    "tol": 1e-8,
-    "cap": COUNT_CAP_DEFAULT,
-    "max_sweeps": 0,  # 0 means automatic
-    "x_start": None,  # defaults to the origin
-    "origin": None,  # defaults to the zero vector
-    "out": "out",
-    "m": None,
-    "target_mean": None,
-    "direction": None,
-    "dist_index": 0,
-}
 
 
 @dataclass
@@ -42,13 +26,17 @@ class ExperimentConfig:
     run: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = dict(_RUN_DEFAULTS)
+        merged = {key: default for key, (default, _) in _RUN_KEYS.items()}
         merged.update(self.run)
         d = self.spec.generator_set.dimension
         if merged["origin"] is None:
             merged["origin"] = (0,) * d
         if merged["x_start"] is None:
             merged["x_start"] = merged["origin"]
+        for key in ("x_start", "origin"):
+            n = len(merged[key])
+            if n != d:
+                raise ConfigError(f"key '{key}' has {n} coordinates for dimension {d}")
         self.run = merged
 
     def effective_dict(self):
@@ -77,22 +65,6 @@ class ExperimentConfig:
                 k: (list(v) if isinstance(v, tuple) else v) for k, v in self.run.items()
             },
         }
-
-
-_SECTIONS = ("graph", "environment", "offspring", "run")
-
-_SCALAR_KEYS = {
-    "graph": {"dimension"},
-    "environment": {"preset", "gamma", "law_weights"},
-    "offspring": {"dist_weights"},
-    "run": set(_RUN_DEFAULTS),
-}
-_LIST_KEYS = {
-    "graph": {"steps", "minimal_steps"},
-    "environment": {"law"},
-    "offspring": {"dist"},
-    "run": set(),
-}
 
 
 def _parse_int(raw, line, key, lo=None, hi=None):
@@ -142,23 +114,39 @@ def _parse_step_list(raw, line, key):
 
 
 def _parse_offspring(raw, line):
-    masses = {}
+    support = []
     for tok in raw.split():
-        if ":" not in tok:
-            raise ConfigError(f"offspring entry {tok!r} is not of the form k:prob", line)
-        ks, ws = tok.split(":", 1)
         try:
-            k, w = int(ks), float(ws)
+            k, w = tok.split(":")
+            support.append((int(k), float(w)))
         except ValueError:
             raise ConfigError(f"offspring entry {tok!r} is not of the form k:prob", line)
-        if k < 1:
-            raise ConfigError(f"offspring count {k} must be >= 1", line)
-        if k in masses:
-            raise ConfigError(f"duplicate offspring count {k}", line)
-        masses[k] = w
-    if not masses:
-        raise ConfigError("empty offspring distribution", line)
-    return tuple(sorted(masses.items()))
+    return tuple(support)
+
+
+# Each [run] key's default and parser; the CLI's override flags parse
+# through the same entries.
+_RUN_KEYS = {
+    "seed": (0, partial(_parse_int, lo=0, hi=2 ** 64 - 1)),
+    "horizon": (200, partial(_parse_int, lo=1)),
+    "replicates": (1000, partial(_parse_int, lo=1)),
+    "radius": (80, partial(_parse_int, lo=1)),
+    "tol": (1e-8, _parse_float),
+    "cap": (COUNT_CAP_DEFAULT, partial(_parse_int, lo=1, hi=COUNT_CAP_DEFAULT)),
+    "max_sweeps": (0, partial(_parse_int, lo=0)),  # 0 means automatic
+    "x_start": (None, _parse_vector),  # defaults to the origin
+    "origin": (None, _parse_vector),  # defaults to the zero vector
+    "out": ("out", lambda raw, line, key: raw),
+    "m": (None, _parse_float),
+}
+
+_KEYS = {
+    "graph": {"dimension", "steps", "minimal_steps"},
+    "environment": {"preset", "gamma", "law", "law_weights"},
+    "offspring": {"dist", "dist_weights"},
+    "run": set(_RUN_KEYS),
+}
+_REPEATED = ("law", "dist")  # keys that may appear on several lines
 
 
 def _tokenize(text):
@@ -170,7 +158,7 @@ def _tokenize(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in line:
@@ -182,7 +170,7 @@ def _tokenize(text):
         value = value.strip()
         if not value:
             raise ConfigError(f"key '{key}' has no value", lineno)
-        if key not in _SCALAR_KEYS[section] and key not in _LIST_KEYS[section]:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key '{key}' in [{section}]", lineno)
         yield lineno, section, key, value
 
@@ -190,9 +178,9 @@ def _tokenize(text):
 def parse_config(text):
     """Parse config text into an ExperimentConfig, raising on the first defect."""
     scalars = {}  # (section, key) -> (line, raw)
-    repeated = {"law": [], "dist": []}
+    repeated = {key: [] for key in _REPEATED}
     for lineno, section, key, value in _tokenize(text):
-        if key in _LIST_KEYS[section] and key in repeated:
+        if key in repeated:
             repeated[key].append((lineno, value))
             continue
         if (section, key) in scalars:
@@ -219,49 +207,18 @@ def parse_config(text):
         preset_name = name
     else:
         preset_name = None
-        spec = _build_inline_spec(scalars, repeated, take)
+        spec = _build_inline_spec(repeated, take)
 
     run = {}
-    for key in _RUN_DEFAULTS:
+    for key, (_, parse) in _RUN_KEYS.items():
         entry = take("run", key)
-        if entry is None:
-            continue
-        line, raw = entry
-        run[key] = _convert_run_value(key, raw, line)
-    # Anything left in scalars at this point is an inline-spec key that was
-    # consumed by _build_inline_spec, or a stale entry; both are errors.
-    if scalars:
-        (section, key), (line, _) = next(iter(scalars.items()))
-        raise ConfigError(f"key '{key}' in [{section}] is not allowed here", line)
-    cfg = ExperimentConfig(spec=spec, preset=preset_name, run=run)
-    _check_dimensional(cfg)
-    return cfg
+        if entry is not None:
+            line, raw = entry
+            run[key] = parse(raw, line, key)
+    return ExperimentConfig(spec=spec, preset=preset_name, run=run)
 
 
-def _convert_run_value(key, raw, line):
-    if key in ("seed",):
-        return _parse_int(raw, line, key, lo=0, hi=2 ** 64 - 1)
-    if key in ("horizon", "replicates", "radius"):
-        return _parse_int(raw, line, key, lo=1)
-    if key in ("cap",):
-        return _parse_int(raw, line, key, lo=1, hi=COUNT_CAP_DEFAULT)
-    if key in ("max_sweeps", "dist_index"):
-        return _parse_int(raw, line, key, lo=0)
-    if key in ("tol", "m", "target_mean"):
-        return _parse_float(raw, line, key)
-    if key in ("x_start", "origin"):
-        return _parse_vector(raw, line, key)
-    if key == "direction":
-        v = raw.lower()
-        if v not in ("raise", "lower"):
-            raise ConfigError(f"key 'direction' must be 'raise' or 'lower', got {raw!r}", line)
-        return v
-    if key == "out":
-        return raw
-    raise ConfigError(f"unhandled run key '{key}'", line)
-
-
-def _build_inline_spec(scalars, repeated, take):
+def _build_inline_spec(repeated, take):
     entry = take("graph", "dimension")
     if entry is None:
         raise ConfigError("missing [graph] dimension (or use an [environment] preset)")
@@ -331,11 +288,3 @@ def _take_weights(entry, n, key):
     if any(w < 0 for w in weights):
         raise ConfigError(f"key '{key}' has a negative weight", line)
     return list(weights)
-
-
-def _check_dimensional(cfg):
-    d = cfg.spec.generator_set.dimension
-    for key in ("x_start", "origin"):
-        v = cfg.run[key]
-        if len(v) != d:
-            raise ConfigError(f"key '{key}' has {len(v)} coordinates for dimension {d}")

@@ -171,6 +171,15 @@ def _shift_slices(shape, step):
     return tuple(dst), tuple(src)
 
 
+def _sweep_views(shape, steps, pad):
+    """Slice tuples reading, from a window of ``shape`` padded by ``pad`` on
+    every side, the values at x + s for each step s."""
+    return [
+        tuple(slice(pad + c, n + pad + c) for n, c in zip(shape, s))
+        for s in steps
+    ]
+
+
 def _convolve_step(q, out, steps, weights):
     """One exact convolution sweep: out = sum_s w(s) * shift(q, s)."""
     out.fill(0.0)

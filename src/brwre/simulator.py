@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .kernel import _sweep_views
 
 COUNT_CAP_DEFAULT = 2 ** 63 - 1
 
@@ -183,10 +184,7 @@ def _advance(counts, lo, tables, rng, origin, cap_eff):
     new_shape = (ranks,) + tuple(n + 2 * pad for n in window)
     new_lo = lo - pad
     new = np.zeros(new_shape, dtype=np.int64)
-    views = [
-        (slice(None),) + tuple(slice(pad + c, n + pad + c) for n, c in zip(window, s))
-        for s in tables.steps
-    ]
+    views = [(slice(None),) + v for v in _sweep_views(window, tables.steps, pad)]
     if tables.multi_step:
         step_idx = tables.env.step_law_indices(coords)
     for i, w in enumerate(tables.step_weights):

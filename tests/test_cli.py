@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import statistics
 
 import pytest
@@ -102,7 +103,8 @@ def test_simulate_accepts_unit_mean(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--seed", "-1"), ("--seed", "1.5"), ("--radius", "0"), ("--tol", "x")])
+    ("--seed", "-1"), ("--seed", "1.5"), ("--radius", "0"), ("--tol", "x"),
+    ("--horizon", "0"), ("--replicates", "0"), ("--cap", "0")])
 def test_bad_override_is_a_config_error(tmp_path, capsys, flag, value):
     config = write_config(tmp_path, "drift-z1")
     out = tmp_path / "out"
@@ -112,6 +114,11 @@ def test_bad_override_is_a_config_error(tmp_path, capsys, flag, value):
 
 
 class TestParser:
+    def test_docstring_names_every_command(self):
+        doc = " ".join(brwre.cli.__doc__.split())
+        sentence = doc[doc.index("COMMAND is one of"):].split(".")[0]
+        assert sorted(re.findall(r"``(\w+)``", sentence)) == sorted(_COMMANDS)
+
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_every_command_takes_every_override(self, command):
         flags = [a for i, flag in enumerate(_OVERRIDE_FLAGS) for a in (f"--{flag}", str(i))]

@@ -12,9 +12,9 @@ from brwre import (
     get_preset,
 )
 from brwre.cli import _config_hash
-from brwre.config import _LIST_KEYS, _SCALAR_KEYS, _SECTIONS, ExperimentConfig, parse_config
+from brwre.config import _KEYS, ExperimentConfig, parse_config
 
-_KNOWN_KEYS = set().union(*_SCALAR_KEYS.values(), *_LIST_KEYS.values())
+_KNOWN_KEYS = set().union(*_KEYS.values())
 
 
 def _numbers(values):
@@ -111,7 +111,7 @@ def test_unknown_entry_names_its_line(cfg, data):
     line = data.draw(st.integers(1, len(lines) + 1))
     entry = data.draw(
         unknown_names.filter(lambda k: k not in _KNOWN_KEYS).map(lambda k: f"{k} = 1")
-        | unknown_names.filter(lambda s: s not in _SECTIONS).map(lambda s: f"[{s}]"))
+        | unknown_names.filter(lambda s: s not in _KEYS).map(lambda s: f"[{s}]"))
     lines.insert(line - 1, entry)
     with pytest.raises(ConfigError) as err:
         parse_config("\n".join(lines) + "\n")
@@ -122,3 +122,17 @@ def test_removed_blowup_key_is_refused():
     with pytest.raises(ConfigError, match="unknown key 'blowup'") as err:
         parse_config("[environment]\npreset = drift-z1\n[run]\nblowup = 1e12\n")
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("dist", ["0:1.0", "1:0.5 1:0.5", "2", "a:1"])
+def test_bad_offspring_law_names_its_line(dist):
+    text = ("[graph]\ndimension = 1\nsteps = 1; -1\n[environment]\ngamma = 0.05\n"
+            f"law = 0.6 0.4\n[offspring]\ndist = 1:0.5 2:0.5\ndist = {dist}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == 9
+
+
+def test_config_built_in_python_checks_its_coordinates():
+    with pytest.raises(ConfigError, match="'x_start' has 2 coordinates for dimension 1"):
+        ExperimentConfig(spec=get_preset("drift-z1"), run={"x_start": (0, 0)})

@@ -92,11 +92,13 @@ class TestStepBmc:
     def test_frozen_origin_mode(self):
         env = RealizedEnvironment(spec_1d((0.5, 0.5), {1: 0.5, 2: 0.5}), 2)
         rng = np.random.default_rng(9)
-        frozen = 0
+        frozen, prev = 0, 1
         for counts, lo, arrivals, _ in step_stream(env, rng, 12, origin=(0,)):
             frozen += arrivals[0]
             assert (0,) not in occupied(counts, lo)
-        assert frozen >= 0
+            assert counts.sum() + frozen >= prev  # no particle dies
+            prev = counts.sum() + frozen
+        assert frozen > 0
 
     def test_small_cap_saturates_and_clamps(self):
         env = RealizedEnvironment(spec_1d((0.5, 0.5), {2: 1.0}), 1)
