@@ -21,8 +21,6 @@ from .environment import (
     EnvironmentSpec,
     OffspringDistribution,
     RealizedEnvironment,
-    couple_lower,
-    couple_raise,
     m_star,
     validate,
 )
@@ -30,7 +28,6 @@ from .errors import (
     BrwreError,
     ConfigError,
     ConvergenceError,
-    CouplingError,
     EnvironmentValidationError,
     MgfOverflowError,
     PreconditionError,

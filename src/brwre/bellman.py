@@ -52,10 +52,6 @@ class ValueField:
     radius: int
     values: np.ndarray
 
-    def value_at(self, site):
-        idx = tuple(c + self.radius for c in site)
-        return float(self.values[idx])
-
 
 @dataclass
 class ValueIterationResult:

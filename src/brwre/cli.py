@@ -6,7 +6,11 @@
 COMMAND is one of ``bellman``, ``classify``, ``rho`` and ``simulate``.
 Every command reads the same config file and takes the same override
 flags, each of which replaces the ``[run]`` key of its name and passes the
-same validator. One flat parser, built per call, reads them.
+same validator. ``_parse_args`` reads argv against ``_COMMANDS`` and the
+flag names: the command may come anywhere, a flag is ``--flag VALUE`` or
+``--flag=VALUE`` with the value taken verbatim, the last of a repeated flag
+wins, and flags are not abbreviated. ``-h`` prints the usage; a usage error
+exits 2.
 
 Every run writes a ``result.json`` whose header carries the effective
 configuration (defaults filled in), its hash, and the master seed, so a
@@ -15,7 +19,6 @@ are byte-identical. ``bellman`` with ``[run] m`` also writes ``field.csv``
 and ``simulate`` writes ``replicates.jsonl``, under the same header.
 """
 
-import argparse
 from dataclasses import asdict
 import hashlib
 from itertools import product
@@ -34,6 +37,7 @@ from .simulator import NuEstimate, estimate_nu, replicate_records  # noqa: F401
 from .spectral import env_rho, has_zero_drift
 
 _OVERRIDE_FLAGS = ("seed", "out", "replicates", "horizon", "radius", "tol", "cap")
+_FLAGS = ("config", *_OVERRIDE_FLAGS)
 
 
 def _canonical_json(obj):
@@ -164,35 +168,61 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="brwre",
-        description="Classify and simulate branching random walks in random environment.",
-    )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True, help="path to the experiment config")
-    for flag in _OVERRIDE_FLAGS:
-        parser.add_argument(f"--{flag}", help=f"override [run] {flag}")
-    return parser
+def _usage():
+    flags = " ".join(f"[--{flag} VALUE]" for flag in _OVERRIDE_FLAGS)
+    return f"usage: brwre {{{','.join(_COMMANDS)}}} --config PATH {flags}"
+
+
+def _usage_error(message):
+    print(f"{_usage()}\nbrwre: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_args(argv):
+    """Return ``(command, config, overrides)`` read from ``argv``.
+
+    ``overrides`` maps each override flag given to its last value, as text.
+    ``-h`` prints the usage and exits 0; a usage error exits 2.
+    """
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command, values = None, {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage())
+            raise SystemExit(0)
+        name, eq, value = token.partition("=")
+        if name.startswith("--") and name[2:] in _FLAGS:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    _usage_error(f"argument {name}: expected one argument")
+            values[name[2:]] = value
+        elif command is None and not token.startswith("-"):
+            if token not in _COMMANDS:
+                _usage_error(f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+            command = token
+        else:
+            _usage_error(f"unrecognized argument: {token}")
+    if command is None or "config" not in values:
+        _usage_error("a COMMAND and --config PATH are required")
+    return command, values.pop("config"), values
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    command, config, overrides = _parse_args(argv)
     try:
-        text = Path(args.config).read_text()
+        text = Path(config).read_text()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
         cfg = parse_config(text)
         for flag in _OVERRIDE_FLAGS:
-            value = getattr(args, flag)
-            if value is None:
-                continue
-            # Route overrides through the same validators as config values.
-            cfg.run[flag] = _RUN_KEYS[flag][1](value, None, flag)
+            if flag in overrides:
+                # Route overrides through the same validators as config values.
+                cfg.run[flag] = _RUN_KEYS[flag][1](overrides[flag], None, flag)
         out_dir = Path(cfg.run["out"])
-        _COMMANDS[args.command](cfg, out_dir)
+        _COMMANDS[command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

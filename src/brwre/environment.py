@@ -1,4 +1,4 @@
-"""Random environments: specification, seeded realization, couplings.
+"""Random environments: specification and seeded realization.
 
 An environment assigns every lattice site an independent (step law,
 offspring law) pair drawn from the finite supports of the spec. A spec is
@@ -11,11 +11,10 @@ realization is storage free: the pair at a site is a pure hash of
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from .errors import CouplingError, EnvironmentValidationError, PreconditionError
+from .errors import EnvironmentValidationError, PreconditionError
 from .kernel import GeneratorSet, StepDistribution
 
 _MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -61,16 +60,6 @@ class OffspringDistribution:
     @property
     def mean(self):
         return sum(k * w for k, w in self.support)
-
-    def mass(self, k):
-        for kk, w in self.support:
-            if kk == k:
-                return w
-        return 0.0
-
-    def tail(self, t):
-        """P(offspring >= t)."""
-        return sum(w for k, w in self.support if k >= t)
 
     @classmethod
     def point(cls, k):
@@ -217,74 +206,3 @@ class RealizedEnvironment:
         j = int(self.offspring_law_indices(coords)[0])
         return self.spec.step_support[i][0], self.spec.offspring_support[j][0]
 
-
-def couple_raise(mu, m_tilde):
-    """Raise the mean of ``mu`` to ``m_tilde`` by moving mass upward.
-
-    Takes the lowest support point l, chooses the smallest n with
-    mu_l >= delta/n (delta = m_tilde - mean), and moves delta/n of mass
-    from l to n + l. The result has mean exactly m_tilde and stochastically
-    dominates the input.
-    """
-    m = mu.mean
-    if m_tilde < m - 1e-12:
-        raise PreconditionError(f"target mean {m_tilde} below current mean {m}")
-    delta = m_tilde - m
-    if delta <= 0.0:
-        return mu
-    l, mass_l = mu.support[0]
-    n = max(1, math.ceil(delta / mass_l - 1e-12))
-    shift = delta / n
-    masses = dict(mu.support)
-    masses[l] = masses[l] - shift
-    if masses[l] < -1e-12:
-        raise CouplingError(f"mass at k={l} would become negative ({masses[l]!r})")
-    masses[l] = max(masses[l], 0.0)
-    masses[n + l] = masses.get(n + l, 0.0) + shift
-    return OffspringDistribution(tuple(sorted(masses.items())))
-
-
-def couple_lower(mu, m_tilde):
-    """Lower the mean of ``mu`` to ``m_tilde`` by collapsing mass onto 1.
-
-    With delta = mean - m_tilde, picks l so that the mass-lowering budget
-    splits as sum_{k<=l}(k-1)mu_k <= delta < sum_{k<=l+1}(k-1)mu_k, sends
-    all mass at 2..l to 1, and moves gamma/l from l+1 to 1 where gamma is
-    the leftover budget. The result has mean exactly m_tilde and is
-    stochastically dominated by the input.
-    """
-    m = mu.mean
-    if m_tilde > m + 1e-12:
-        raise PreconditionError(f"target mean {m_tilde} above current mean {m}")
-    if m_tilde < 1.0 - 1e-12:
-        raise PreconditionError(f"target mean {m_tilde} below 1 (support starts at k=1)")
-    delta = m - m_tilde
-    if delta <= 0.0:
-        return mu
-    kmax = mu.support[-1][0]
-    # partial[l] = sum_{k<=l} (k-1) mu_k
-    def partial(l):
-        return sum((k - 1) * w for k, w in mu.support if k <= l)
-
-    l = None
-    for cand in range(1, kmax + 1):
-        if partial(cand) <= delta + 1e-15 and delta < partial(cand + 1) - 1e-15:
-            l = cand
-            break
-    if l is None:
-        # delta exhausts the whole removable mass: the target is delta_1
-        l = kmax - 1 if kmax > 1 else 1
-    gamma = delta - partial(l)
-    shift = gamma / l
-    mass_next = mu.mass(l + 1)
-    if mass_next - shift < -1e-12:
-        raise CouplingError(
-            f"mass at k={l + 1} would become negative ({mass_next - shift!r})"
-        )
-    masses = {1: sum(w for k, w in mu.support if k <= l) + shift}
-    if mass_next - shift > 0.0:
-        masses[l + 1] = mass_next - shift
-    for k, w in mu.support:
-        if k > l + 1:
-            masses[k] = w
-    return OffspringDistribution(tuple(sorted(masses.items())))

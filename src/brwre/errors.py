@@ -32,10 +32,6 @@ class EnvironmentValidationError(BrwreError):
         super().__init__("; ".join(self.violations))
 
 
-class CouplingError(BrwreError):
-    """An offspring coupling construction produced an invalid mass."""
-
-
 class MgfOverflowError(BrwreError):
     """A moment generating function evaluation would overflow."""
 

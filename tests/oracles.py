@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from brwre.environment import OffspringDistribution
 from brwre.errors import PreconditionError
 from brwre.kernel import _box_shape
 
@@ -50,6 +51,11 @@ def n_step_return_prob(p, n):
     return float(q[center])
 
 
+def value_at(field, site):
+    """The value of a ``ValueField`` at lattice ``site``, read by coordinates."""
+    return float(field.values[tuple(c + field.radius for c in site)])
+
+
 def field_csv_reference(field, config_hash, master_seed):
     """``field.csv`` as written by one ``value_at`` call per site of the ball."""
     d = field.values.ndim
@@ -58,7 +64,7 @@ def field_csv_reference(field, config_hash, master_seed):
              ",".join(cols + ["value"])]
     r = field.radius
     for site in product(range(-r, r + 1), repeat=d):
-        lines.append(",".join(str(c) for c in site) + f",{field.value_at(site)!r}")
+        lines.append(",".join(str(c) for c in site) + f",{value_at(field, site)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -80,8 +86,8 @@ def harmonic_residual(field, env):
         pf = 0.0
         for s, w in zip(gen.steps, step_law.weights):
             neighbor = tuple(a + b for a, b in zip(site, s))
-            pf += w * field.value_at(neighbor)
-        fx = field.value_at(site)
+            pf += w * value_at(field, neighbor)
+        fx = value_at(field, site)
         defect = abs(offspring_law.mean * pf - fx) / max(fx, 1.0)
         worst = max(worst, defect)
     return worst
@@ -246,3 +252,83 @@ def label_components_bfs(shape, center, moves):
                     queue.append(nb)
     labels[center] = 0
     return labels
+
+
+def mass(mu, k):
+    """P(offspring == k) under the offspring law ``mu``."""
+    return dict(mu.support).get(k, 0.0)
+
+
+def tail(mu, t):
+    """P(offspring >= t) under the offspring law ``mu``."""
+    return sum(w for k, w in mu.support if k >= t)
+
+
+def couple_raise(mu, m_tilde):
+    """Raise the mean of ``mu`` to ``m_tilde`` by moving mass upward.
+
+    The coupling of the paper's proofs: takes the lowest support point l,
+    chooses the smallest n with mu_l >= delta/n (delta = m_tilde - mean),
+    and moves delta/n of mass from l to n + l. The result has mean exactly
+    m_tilde and stochastically dominates the input.
+    """
+    m = mu.mean
+    if m_tilde < m - 1e-12:
+        raise PreconditionError(f"target mean {m_tilde} below current mean {m}")
+    delta = m_tilde - m
+    if delta <= 0.0:
+        return mu
+    l, mass_l = mu.support[0]
+    n = max(1, math.ceil(delta / mass_l - 1e-12))
+    shift = delta / n
+    masses = dict(mu.support)
+    masses[l] = masses[l] - shift
+    if masses[l] < -1e-12:
+        raise ValueError(f"mass at k={l} would become negative ({masses[l]!r})")
+    masses[l] = max(masses[l], 0.0)
+    masses[n + l] = masses.get(n + l, 0.0) + shift
+    return OffspringDistribution(tuple(sorted(masses.items())))
+
+
+def couple_lower(mu, m_tilde):
+    """Lower the mean of ``mu`` to ``m_tilde`` by collapsing mass onto 1.
+
+    With delta = mean - m_tilde, picks l so that the mass-lowering budget
+    splits as sum_{k<=l}(k-1)mu_k <= delta < sum_{k<=l+1}(k-1)mu_k, sends
+    all mass at 2..l to 1, and moves gamma/l from l+1 to 1 where gamma is
+    the leftover budget. The result has mean exactly m_tilde and is
+    stochastically dominated by the input.
+    """
+    m = mu.mean
+    if m_tilde > m + 1e-12:
+        raise PreconditionError(f"target mean {m_tilde} above current mean {m}")
+    if m_tilde < 1.0 - 1e-12:
+        raise PreconditionError(f"target mean {m_tilde} below 1 (support starts at k=1)")
+    delta = m - m_tilde
+    if delta <= 0.0:
+        return mu
+    kmax = mu.support[-1][0]
+    # partial[l] = sum_{k<=l} (k-1) mu_k
+    def partial(l):
+        return sum((k - 1) * w for k, w in mu.support if k <= l)
+
+    l = None
+    for cand in range(1, kmax + 1):
+        if partial(cand) <= delta + 1e-15 and delta < partial(cand + 1) - 1e-15:
+            l = cand
+            break
+    if l is None:
+        # delta exhausts the whole removable mass: the target is delta_1
+        l = kmax - 1 if kmax > 1 else 1
+    gamma = delta - partial(l)
+    shift = gamma / l
+    mass_next = mass(mu, l + 1)
+    if mass_next - shift < -1e-12:
+        raise ValueError(f"mass at k={l + 1} would become negative ({mass_next - shift!r})")
+    masses = {1: sum(w for k, w in mu.support if k <= l) + shift}
+    if mass_next - shift > 0.0:
+        masses[l + 1] = mass_next - shift
+    for k, w in mu.support:
+        if k > l + 1:
+            masses[k] = w
+    return OffspringDistribution(tuple(sorted(masses.items())))

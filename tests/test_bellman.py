@@ -21,7 +21,7 @@ from brwre import (
 from brwre.bellman import _components
 from brwre.presets import PRESETS, get_preset
 
-from oracles import harmonic_residual, label_components_bfs, solve_nu_field_exact
+from oracles import harmonic_residual, label_components_bfs, solve_nu_field_exact, value_at
 
 
 def singleton_spec(weights, offspring_masses, gamma=0.05):
@@ -63,7 +63,7 @@ class TestValueIteration:
 
     def test_origin_is_pinned(self):
         res = value_iteration(DRIFT, 1.2, 30)
-        assert res.field.value_at((0,)) == 1.0
+        assert value_at(res.field, (0,)) == 1.0
 
     def test_monotone_in_sweeps(self):
         prev = None

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+from pathlib import Path
 import re
 import statistics
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +13,7 @@ import brwre.bellman
 import brwre.cli
 import brwre.simulator
 from brwre import PRESETS, env_rho, get_preset, validate, value_iteration
-from brwre.cli import _COMMANDS, _OVERRIDE_FLAGS, _build_parser, main
+from brwre.cli import _COMMANDS, _OVERRIDE_FLAGS, _parse_args, main
 from brwre.config import parse_config
 
 from oracles import field_csv_reference
@@ -122,9 +126,9 @@ class TestParser:
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_every_command_takes_every_override(self, command):
         flags = [a for i, flag in enumerate(_OVERRIDE_FLAGS) for a in (f"--{flag}", str(i))]
-        args = _build_parser().parse_args([command, "--config", "c.cfg", *flags])
-        assert (args.command, args.config) == (command, "c.cfg")
-        assert [getattr(args, flag) for flag in _OVERRIDE_FLAGS] == [
+        parsed_command, config, overrides = _parse_args([command, "--config", "c.cfg", *flags])
+        assert (parsed_command, config) == (command, "c.cfg")
+        assert [overrides[flag] for flag in _OVERRIDE_FLAGS] == [
             str(i) for i in range(len(_OVERRIDE_FLAGS))]
 
     @pytest.mark.parametrize("argv", [["nope", "--config", "c.cfg"], ["rho"]])
@@ -132,6 +136,49 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["-h"], 0), (["rho", "--help"], 0),
+        (["rho", "--config", "c.cfg", "--bogus", "1"], 2),
+        (["rho", "--config", "c.cfg", "--seed"], 2),
+        (["rho", "stray", "--config", "c.cfg"], 2),
+        (["--config", "c.cfg", "--seed", "1"], 2),
+        (["--seed", "1", "rho"], 2)])
+    def test_help_and_usage_errors_exit(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert not err
+            assert all(command in out for command in _COMMANDS)
+            assert all(f"--{flag}" in out for flag in ("config", *_OVERRIDE_FLAGS))
+        else:
+            assert not out
+            assert "usage: brwre" in err and "error:" in err
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["--tol=1e-6", "rho", "--config=c.cfg"], {"tol": "1e-6"}),
+        (["rho", "--config", "c.cfg", "--tol", "1e-6"], {"tol": "1e-6"}),
+        (["rho", "--config", "c.cfg", "--seed", "1", "--seed", "2"], {"seed": "2"})])
+    def test_equals_form_and_repeated_flag(self, argv, overrides):
+        assert _parse_args(argv) == ("rho", "c.cfg", overrides)
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setattr(sys, "argv", ["brwre", "rho", "--config",
+                                          str(write_config(tmp_path, "drift-z1")),
+                                          "--out", str(out)])
+        assert main() == 0
+        assert (out / "result.json").exists()
+
+    def test_import_leaves_argparse_unloaded(self):
+        # A fresh interpreter, because pytest itself imports argparse.
+        probe = "import sys, brwre.cli; print('argparse' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_flags_do_not_leak_into_the_next_call(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
