@@ -144,6 +144,9 @@ class _Companion:
     Its components are those the pinned origin feeds, connected by the steps
     with positive weight in some law and their negatives: K maps each into
     itself, and ``step`` returns each one's least and largest two-sweep ratio.
+    The seed is zero off the components, and a sweep computes each site from
+    its own component and the origin, so zeroing the origin after each sweep
+    keeps g zero off the components.
     """
 
     def __init__(self, spec, radius, m):
@@ -158,7 +161,6 @@ class _Companion:
         pin[self.center] = 1.0
         self.sweep.apply(pin, pin)  # in place is safe: apply copies its input first
         self.masks = [labels == c for c in sorted(set(labels[pin > 0.0].tolist()))]
-        self.killed = ~np.any(self.masks, axis=0)
         seed = env_rho(spec)
         self.rho = seed.rho
         self.g = _companion_seed(shape, radius, self.masks, seed.theta_star)
@@ -170,7 +172,7 @@ class _Companion:
         """One sweep; per component (least, largest) ratio once two sweeps ran."""
         g_next = self._next
         self.sweep.apply(self.g, g_next)
-        g_next[self.killed] = 0.0
+        g_next[self.center] = 0.0
         bounds = [] if self.sweeps > 0 else None
         for k, mask in enumerate(self.masks):
             part = g_next[mask]
@@ -192,13 +194,14 @@ def value_iteration(spec, m, radius, max_sweeps=None):
     The certificate is the divergence test: DIVERGING at the first sweep
     whose companion ratios of m K certify growth above 1. BOUNDED requires
     a sweep to move no value by more than 1e-12 relative to the field's
-    scale; INDETERMINATE means ``max_sweeps`` (0 or None: automatic) ran out.
+    scale; INDETERMINATE means ``max_sweeps`` ran out. The automatic budget
+    (``max_sweeps`` 0 or None) is ``critical_m``'s, 20 * radius^2 sweeps.
     """
-    if m <= 0.0:
-        raise PreconditionError("m must be positive")
+    if not 0.0 < m < math.inf:
+        raise PreconditionError("m must be positive and finite")
     if radius < 1:
         raise PreconditionError("radius must be >= 1")
-    max_sweeps = max_sweeps or 20 * radius
+    max_sweeps = max_sweeps or _AUTO_SWEEPS * radius * radius
     companion = _Companion(spec, radius, m)
     sweep, center = companion.sweep, companion.center
     f = np.zeros(companion.g.shape)
@@ -242,8 +245,8 @@ def critical_m(spec, radius, tol, max_sweeps=None):
     the sweeps (automatic by default); when it runs out, ConvergenceError
     carries the bracket.
     """
-    if tol <= 0.0:
-        raise PreconditionError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
     if radius < 1:
         raise PreconditionError("radius must be >= 1")
     companion = _Companion(spec, radius, 1.0)

@@ -9,9 +9,10 @@ defaults in a numerical experiment.
 
 from dataclasses import dataclass, field
 from functools import partial
+import math
 
 from .environment import EnvironmentSpec, OffspringDistribution
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .kernel import GeneratorSet, StepDistribution
 from .presets import get_preset
 from .simulator import COUNT_CAP_DEFAULT
@@ -84,16 +85,19 @@ def _parse_float(raw, line, key):
         v = float(raw)
     except ValueError:
         raise ConfigError(f"key '{key}' expects a number, got {raw!r}", line)
-    if v <= 0.0:
-        raise ConfigError(f"key '{key}' must be positive, got {v}", line)
+    if not 0.0 < v < math.inf:
+        raise ConfigError(f"key '{key}' must be positive and finite, got {v}", line)
     return v
 
 
 def _parse_floats(raw, line, key):
     try:
-        return tuple(float(x) for x in raw.split())
+        values = tuple(float(x) for x in raw.split())
     except ValueError:
         raise ConfigError(f"key '{key}' expects space-separated numbers, got {raw!r}", line)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key '{key}' expects finite numbers, got {raw!r}", line)
+    return values
 
 
 def _parse_vector(raw, line, key):
@@ -118,9 +122,12 @@ def _parse_offspring(raw, line):
     for tok in raw.split():
         try:
             k, w = tok.split(":")
-            support.append((int(k), float(w)))
+            k, w = int(k), float(w)
         except ValueError:
-            raise ConfigError(f"offspring entry {tok!r} is not of the form k:prob", line)
+            raise ConfigError(f"key 'dist' entry {tok!r} is not of the form k:prob", line)
+        if not math.isfinite(w):
+            raise ConfigError(f"key 'dist' entry {tok!r} has a non-finite probability", line)
+        support.append((k, w))
     return tuple(support)
 
 
@@ -239,7 +246,7 @@ def _build_inline_spec(repeated, take):
         minimal = _parse_step_list(m_raw, m_line, "minimal_steps")
     try:
         gen = GeneratorSet(dimension, steps, minimal)
-    except Exception as exc:
+    except PreconditionError as exc:
         raise ConfigError(f"invalid generator set: {exc}", steps_line)
 
     entry = take("environment", "gamma")
@@ -255,7 +262,7 @@ def _build_inline_spec(repeated, take):
         weights = _parse_floats(raw, line, "law")
         try:
             laws.append(StepDistribution(gen, weights))
-        except Exception as exc:
+        except PreconditionError as exc:
             raise ConfigError(f"invalid step law: {exc}", line)
     law_weights = _take_weights(take("environment", "law_weights"), len(laws), "law_weights")
 
@@ -266,7 +273,7 @@ def _build_inline_spec(repeated, take):
         support = _parse_offspring(raw, line)
         try:
             dists.append(OffspringDistribution(support))
-        except Exception as exc:
+        except PreconditionError as exc:
             raise ConfigError(f"invalid offspring law: {exc}", line)
     dist_weights = _take_weights(take("offspring", "dist_weights"), len(dists), "dist_weights")
 
@@ -285,6 +292,6 @@ def _take_weights(entry, n, key):
     weights = _parse_floats(raw, line, key)
     if len(weights) != n:
         raise ConfigError(f"key '{key}' has {len(weights)} entries for {n} laws", line)
-    if any(w < 0 for w in weights):
+    if not all(w >= 0.0 for w in weights):
         raise ConfigError(f"key '{key}' has a negative weight", line)
     return list(weights)

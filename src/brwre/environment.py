@@ -11,6 +11,7 @@ realization is storage free: the pair at a site is a pure hash of
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class OffspringDistribution:
             w = float(w)
             if k < 1:
                 raise PreconditionError(f"offspring count {k} < 1 (death is excluded)")
-            if w < 0.0:
-                raise PreconditionError(f"negative offspring mass at k={k}")
+            if not w >= 0.0:
+                raise PreconditionError(f"negative or NaN offspring mass {w!r} at k={k}")
             if k in seen:
                 raise PreconditionError(f"duplicate offspring support point k={k}")
             seen.add(k)
@@ -53,7 +54,7 @@ class OffspringDistribution:
         if not entries:
             raise PreconditionError("offspring support is empty")
         total = sum(w for _, w in entries)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise PreconditionError(f"offspring masses sum to {total!r}, not 1")
         object.__setattr__(self, "support", tuple(sorted(entries)))
 
@@ -90,17 +91,17 @@ class EnvironmentSpec:
         )
         object.__setattr__(self, "gamma", float(self.gamma))
         violations = []
-        if self.gamma <= 0.0:
-            violations.append(f"gamma must be positive, got {self.gamma!r}")
+        if not 0.0 < self.gamma < math.inf:
+            violations.append(f"gamma must be positive and finite, got {self.gamma!r}")
         for name, support in (("step", self.step_support), ("offspring", self.offspring_support)):
             if not support:
                 violations.append(f"{name} support is empty")
                 continue
             total = sum(w for _, w in support)
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 violations.append(f"{name} support weights sum to {total!r}, not 1")
-            if any(w < 0.0 for _, w in support):
-                violations.append(f"{name} support has a negative weight")
+            if not all(w >= 0.0 for _, w in support):
+                violations.append(f"{name} support has a negative or NaN weight")
         for i, (law, _) in enumerate(self.step_support):
             if law.generator_set != self.generator_set:
                 violations.append(f"step law {i} uses a different generator set")

@@ -130,9 +130,9 @@ class StepDistribution:
             raise PreconditionError(
                 f"{len(w)} weights for {len(self.generator_set.steps)} steps"
             )
-        if any(x < 0.0 for x in w):
-            raise PreconditionError("negative step weight")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if not all(x >= 0.0 for x in w):
+            raise PreconditionError(f"negative or NaN step weight in {w!r}")
+        if not abs(sum(w) - 1.0) <= 1e-12:
             raise PreconditionError(f"step weights sum to {sum(w)!r}, not 1")
 
     def weight(self, step):
@@ -145,7 +145,7 @@ class StepDistribution:
 
     def ellipticity_violations(self, gamma):
         """Steps of S' whose weight is not strictly above gamma."""
-        return [s for s in self.generator_set.minimal_subset if self.weight(s) <= gamma]
+        return [s for s in self.generator_set.minimal_subset if not self.weight(s) > gamma]
 
 
 def _box_shape(radius, dimension):
@@ -158,19 +158,6 @@ def _box_shape(radius, dimension):
     return (2 * radius + 1,) * dimension
 
 
-def _shift_slices(shape, step):
-    """(dst, src) slice tuples implementing q(x) += w * q_old(x - step)."""
-    dst, src = [], []
-    for n, s in zip(shape, step):
-        if s >= 0:
-            dst.append(slice(s, n))
-            src.append(slice(0, n - s))
-        else:
-            dst.append(slice(0, n + s))
-            src.append(slice(-s, n))
-    return tuple(dst), tuple(src)
-
-
 def _sweep_views(shape, steps, pad):
     """Slice tuples reading, from a window of ``shape`` padded by ``pad`` on
     every side, the values at x + s for each step s."""
@@ -178,17 +165,6 @@ def _sweep_views(shape, steps, pad):
         tuple(slice(pad + c, n + pad + c) for n, c in zip(shape, s))
         for s in steps
     ]
-
-
-def _convolve_step(q, out, steps, weights):
-    """One exact convolution sweep: out = sum_s w(s) * shift(q, s)."""
-    out.fill(0.0)
-    shape = q.shape
-    for s, w in zip(steps, weights):
-        if w == 0.0:
-            continue
-        dst, src = _shift_slices(shape, s)
-        out[dst] += w * q[src]
 
 
 @dataclass(frozen=True)
@@ -211,22 +187,29 @@ class _Underflow(Exception):
 
 
 def _even_returns(p, m, dtype, floor):
+    """p^(2k)(0,0) for k = 1..m. Step k sets q_k(x) = sum_s p(s) q_{k-1}(x - s)
+    on the box of radius k * max_step_norm, reading q_{k-1} through the
+    negated steps; the arrays are one max_step_norm wider, so every read
+    stays inside them."""
     gen = p.generator_set
-    radius = m * gen.max_step_norm
-    shape = _box_shape(radius, gen.dimension)
-    q = np.zeros(shape, dtype=dtype)
-    center = (radius,) * gen.dimension
-    q[center] = 1.0
-    buf = np.empty_like(q)
+    pad = gen.max_step_norm
+    edge = (m + 1) * pad  # index of the origin
+    q = np.zeros(_box_shape(edge, gen.dimension), dtype=dtype)
+    q[(edge,) * gen.dimension] = 1.0
+    buf = np.zeros_like(q)
+    back = [tuple(-c for c in s) for s in gen.steps]
     returns = np.empty(m, dtype=dtype)
     reverse = (slice(None, None, -1),) * gen.dimension
     positive_seen = False
     for k in range(1, m + 1):
-        r = k * gen.max_step_norm
-        view = tuple(slice(radius - r, radius + r + 1) for _ in range(gen.dimension))
-        _convolve_step(q[view], buf[view], gen.steps, p.weights)
-        q[view] = buf[view]
-        qk = q[view]
+        r = k * pad
+        qk = buf[(slice(edge - r, edge + r + 1),) * gen.dimension]
+        qk.fill(0.0)
+        for w, view in zip(p.weights, _sweep_views(qk.shape, back, edge - r)):
+            if w != 0.0:
+                qk += w * q[view]
+        # buf holds q_k, and zeros beyond its box where step k + 1 reads
+        q, buf = buf, q
         value = np.sum(qk * qk[reverse])
         if value > 0.0:
             positive_seen = True

@@ -20,6 +20,7 @@ in exact rational arithmetic.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+import math
 
 import numpy as np
 
@@ -64,29 +65,10 @@ def mgf(p, theta):
     return float(np.exp(exponents) @ np.asarray(p.weights))
 
 
-class _MgfFamily:
-    """Values, gradients and Hessians of the mgf for a matrix of laws."""
-
-    def __init__(self, generator_set, weight_rows):
-        self.steps = np.asarray(generator_set.steps, dtype=float)  # (S, d)
-        self.w = np.asarray(weight_rows, dtype=float)  # (J, S)
-        self.d = generator_set.dimension
-
-    def values(self, theta):
-        with np.errstate(over="ignore"):
-            e = np.exp(self.steps @ theta)  # (S,)
-        # summed like value_grad_hess, so both ends of a bracket that one law
-        # closes are the same float
-        return (self.w * e).sum(axis=1)
-
-    def value_grad_hess(self, theta, j):
-        with np.errstate(over="ignore"):
-            e = np.exp(self.steps @ theta)
-        we = self.w[j] * e  # (S,)
-        val = float(we.sum())
-        grad = self.steps.T @ we
-        hess = (self.steps.T * we) @ self.steps
-        return val, grad, hess
+def _mgf_terms(steps, weights, theta):
+    """The terms w(s) exp(<theta, s>) of the mgf, one row per row of ``weights``."""
+    with np.errstate(over="ignore"):
+        return weights * np.exp(steps @ theta)
 
 
 def _check_coercive(p):
@@ -100,16 +82,23 @@ def _check_coercive(p):
             )
 
 
-def _newton_minimize(family, j, theta0, tol):
-    """Damped Newton with backtracking on a single smooth strictly convex mgf."""
+def _newton_minimize(steps, w, theta0, tol):
+    """Damped Newton with backtracking on the smooth strictly convex mgf of one law."""
     theta = np.array(theta0, dtype=float)
-    val, grad, hess = family.value_grad_hess(theta, j)
-    for it in range(_NEWTON_CAP):
+    for it in range(_NEWTON_CAP + 1):
+        we = _mgf_terms(steps, w, theta)
+        val = float(we.sum())
+        grad = steps.T @ we
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol:
             return theta, val, gnorm, it
+        if it == _NEWTON_CAP:
+            raise ConvergenceError(
+                f"Newton did not reach gradient tolerance {tol} (residual {gnorm})",
+                residual=gnorm,
+            )
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = np.linalg.solve((steps.T * we) @ steps, -grad)
         except np.linalg.LinAlgError:
             step = -grad
         t = 1.0
@@ -118,20 +107,11 @@ def _newton_minimize(family, j, theta0, tol):
         # decrease drops below float noise around the optimum
         noise = 4e-16 * max(1.0, abs(val))
         for _ in range(60):
-            cand = theta + t * step
-            cval = family.value_grad_hess(cand, j)[0]
+            cval = float(_mgf_terms(steps, w, theta + t * step).sum())
             if np.isfinite(cval) and cval <= val + 0.25 * t * slope + noise:
                 break
             t *= 0.5
         theta = theta + t * step
-        val, grad, hess = family.value_grad_hess(theta, j)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm > tol:
-        raise ConvergenceError(
-            f"Newton did not reach gradient tolerance {tol} (residual {gnorm})",
-            residual=gnorm,
-        )
-    return theta, val, gnorm, _NEWTON_CAP
 
 
 def homogeneous_rho(p, tol=1e-10):
@@ -142,8 +122,9 @@ def homogeneous_rho(p, tol=1e-10):
     mgf coercive so the minimum is attained.
     """
     _check_coercive(p)
-    family = _MgfFamily(p.generator_set, [p.weights])
-    theta, val, gnorm, it = _newton_minimize(family, 0, np.zeros(family.d), tol)
+    steps = np.asarray(p.generator_set.steps, dtype=float)
+    theta, val, gnorm, it = _newton_minimize(
+        steps, np.asarray(p.weights), np.zeros(p.generator_set.dimension), tol)
     return SpectralResult(
         rho=val,
         theta_star=theta,
@@ -177,17 +158,21 @@ def env_rho(spec, tol=1e-10):
     epigraph problem min t s.t. mgf_j(theta) <= t move both until they are
     at most ``tol`` apart. The true value lies in [rho - residual, rho].
     """
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError("tol must be positive and finite")
     laws = spec.step_laws()
     for p in laws:
         _check_coercive(p)
-    family = _MgfFamily(spec.generator_set, [p.weights for p in laws])
-    w, steps, d = family.w, family.steps, family.d
-    nlaws = len(laws)
+    steps = np.asarray(spec.generator_set.steps, dtype=float)  # (S, d)
+    w = np.asarray([p.weights for p in laws], dtype=float)  # (J, S)
+    d, nlaws = steps.shape[1], len(laws)
 
-    singles = [_newton_minimize(family, j, np.zeros(d), tol) for j in range(nlaws)]
+    singles = [_newton_minimize(steps, wj, np.zeros(d), tol) for wj in w]
     best = int(np.argmax([val for _, val, _, _ in singles]))
     theta_star, lower = singles[best][:2]
-    upper = float(np.max(family.values(theta_star)))
+    # each upper end sums its terms as _newton_minimize does, so both ends
+    # of a bracket that one law closes are the same float
+    upper = float(np.max(_mgf_terms(steps, w, theta_star).sum(axis=1)))
     lam_lower = np.eye(nlaws)[best]
 
     # Epigraph variables: t >= mgf_j(theta) with slacks s_j and multipliers
@@ -195,7 +180,7 @@ def env_rho(spec, tol=1e-10):
     # slacks start no smaller than the initial gap.
     theta, lam = theta_star, np.full(nlaws, 1.0 / nlaws)
     t = 2.0 * upper - lower
-    s = t - family.values(theta)
+    s = t - _mgf_terms(steps, w, theta).sum(axis=1)
     iterations = 0
     while upper - lower > tol:
         if iterations == _IPM_CAP:
@@ -205,7 +190,7 @@ def env_rho(spec, tol=1e-10):
                 residual=upper - lower,
             )
         iterations += 1
-        we = w * np.exp(steps @ theta)  # (J, S)
+        we = _mgf_terms(steps, w, theta)  # (J, S)
         vals, grads = we.sum(axis=1), we @ steps
         target = 0.1 * float(lam @ s) / nlaws
         ratio = lam / s
@@ -229,11 +214,11 @@ def env_rho(spec, tol=1e-10):
         theta = theta + alpha * step[:d]
         t += alpha * step[d]
         lam, s = lam + alpha * dlam, s + alpha * ds
-        val = float(np.max(family.values(theta)))
+        val = float(np.max(_mgf_terms(steps, w, theta).sum(axis=1)))
         if val < upper:
             upper, theta_star = val, theta
         mix = lam / lam.sum()
-        val = _newton_minimize(_MgfFamily(spec.generator_set, [mix @ w]), 0, theta, tol)[1]
+        val = _newton_minimize(steps, mix @ w, theta, tol)[1]
         if val > lower:
             lower, lam_lower = val, mix
     return SpectralResult(

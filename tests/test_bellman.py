@@ -10,6 +10,7 @@ from brwre import (
     EnvironmentSpec,
     GeneratorSet,
     OffspringDistribution,
+    PreconditionError,
     RealizedEnvironment,
     StepDistribution,
     ValueField,
@@ -37,6 +38,14 @@ def singleton_spec(weights, offspring_masses, gamma=0.05):
 
 
 DRIFT = get_preset("drift-z1")
+_JUMPS = GeneratorSet(1, ((2,), (-2,), (1,), (-1,)), ((1,), (-1,)))
+# steps of size two: the companion pads by 2, and a jump can pass over the origin
+BOUNDED_JUMPS = EnvironmentSpec(
+    generator_set=_JUMPS,
+    step_support=((StepDistribution(_JUMPS, (0.2, 0.1, 0.4, 0.3)), 1.0),),
+    offspring_support=((OffspringDistribution.point(2), 1.0),),
+    gamma=0.05,
+)
 
 
 def killed_walk_threshold(weights, radius):
@@ -105,10 +114,17 @@ class TestValueIteration:
         assert res.status == "indeterminate"
 
     def test_preconditions(self):
-        with pytest.raises(Exception):
-            value_iteration(DRIFT, 0.0, 10)
-        with pytest.raises(Exception):
+        for m in (0.0, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                value_iteration(DRIFT, m, 10)
+        with pytest.raises(PreconditionError):
             value_iteration(DRIFT, 1.2, 0)
+
+    def test_automatic_budget_matches_critical_m(self):
+        # bounded only at sweep 773: a budget linear in the radius (500) stops short
+        res = value_iteration(get_preset("nn-z2"), 1.2, 25)
+        assert res.status == BOUNDED
+        assert res.sweeps_used == 773
 
 
 class TestCriticalM:
@@ -160,14 +176,37 @@ class TestCriticalM:
         best = min(killed_walk_threshold(p.weights, radius) for p in spec.step_laws())
         assert 1.0 / env_rho(spec).rho - tol <= mc <= best + tol
 
-    @pytest.mark.parametrize("preset", ["drift-z1", "drift-pair-z1", "nn-z2"])
-    def test_result_carries_its_bracket(self, preset):
-        spec = get_preset(preset)
+    @pytest.mark.parametrize("spec", [
+        *(pytest.param(get_preset(p), id=p) for p in ("drift-z1", "drift-pair-z1", "nn-z2")),
+        pytest.param(BOUNDED_JUMPS, id="bounded-jumps"),
+    ])
+    def test_result_carries_its_bracket(self, spec):
         res = critical_m(spec, 20, 1e-6)
         assert res.lo <= res.value <= res.hi and res.hi - res.lo <= 1e-6
         assert res.value == 0.5 * (res.lo + res.hi)
         assert res.sweeps >= 2
         assert res.rho == env_rho(spec).rho
+
+    @pytest.mark.parametrize("radius", [2, 5, 12])
+    def test_bounded_jumps_match_dense_killed_walk(self, radius):
+        # one law, so K = P: m(R) is 1 / the spectral radius of the
+        # transition matrix on the punctured ball
+        law = BOUNDED_JUMPS.step_laws()[0]
+        n = 2 * radius + 1
+        p = np.zeros((n, n))
+        for x in range(n):
+            for (s,), w in zip(_JUMPS.steps, law.weights):
+                if x != radius and 0 <= x + s < n and x + s != radius:
+                    p[x, x + s] = w
+        exact = 1.0 / float(np.max(np.abs(np.linalg.eigvals(p))))
+        assert abs(critical_m(BOUNDED_JUMPS, radius, 1e-8).value - exact) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_preconditions(self, bad):
+        with pytest.raises(PreconditionError):
+            critical_m(DRIFT, 10, bad)
+        with pytest.raises(PreconditionError):
+            env_rho(DRIFT, bad)
 
     def test_exhausted_budget_reports_the_bracket(self):
         with pytest.raises(ConvergenceError, match="bracketed in") as err:

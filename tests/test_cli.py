@@ -108,12 +108,34 @@ def test_simulate_accepts_unit_mean(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "-1"), ("--seed", "1.5"), ("--radius", "0"), ("--tol", "x"),
-    ("--horizon", "0"), ("--replicates", "0"), ("--cap", "0")])
+    ("--horizon", "0"), ("--replicates", "0"), ("--cap", "0"),
+    ("--tol", "nan"), ("--tol", "inf")])
 def test_bad_override_is_a_config_error(tmp_path, capsys, flag, value):
     config = write_config(tmp_path, "drift-z1")
     out = tmp_path / "out"
     assert main(["rho", "--config", str(config), "--out", str(out), flag, value]) == 2
     assert f"'{flag[2:]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# An inline config with every float-valued key, each set to a valid value.
+_FLOAT_CONFIG = ("[graph]\ndimension = 1\nsteps = 1; -1\n"
+                 "[environment]\ngamma = {gamma}\nlaw = {law}\nlaw_weights = {law_weights}\n"
+                 "[offspring]\ndist = {dist}\ndist_weights = {dist_weights}\n"
+                 "[run]\ntol = {tol}\nm = {m}\n")
+_FLOAT_KEYS = {"gamma": "0.05", "law": "0.6 0.4", "law_weights": "1.0",
+               "dist": "1:0.5 2:0.5", "dist_weights": "1.0", "tol": "1e-8", "m": "1.2"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, key, value):
+    bad = {"law": f"{value} {value}", "dist": f"1:1.0 2:{value}"}.get(key, value)
+    config = tmp_path / "bad.cfg"
+    config.write_text(_FLOAT_CONFIG.format(**{**_FLOAT_KEYS, key: bad}))
+    out = tmp_path / "out"
+    assert main(["rho", "--config", str(config), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,12 @@ class TestOffspringDistribution:
         mu = offspring({1: 1.0, 5: 0.0})
         assert mu.support == ((1, 1.0),)
 
+    @pytest.mark.parametrize("masses", [
+        {1: 1.0, 2: math.nan}, {1: math.nan}, {1: math.inf}, {1: 1.0, 2: math.inf}])
+    def test_non_finite_mass_rejected(self, masses):
+        with pytest.raises(PreconditionError):
+            offspring(masses)
+
 
 class TestValidate:
     def test_valid_spec_returned_unchanged(self):
@@ -88,6 +96,20 @@ class TestValidate:
                 gamma=0.05,
             )
         assert any("sum" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["gamma", "step_weight", "offspring_weight"])
+def test_spec_rejects_non_finite_numbers(field, bad):
+    gen = GeneratorSet.nearest_neighbor(1)
+    args = {"gamma": 0.05, "step_weight": 1.0, "offspring_weight": 1.0, field: bad}
+    with pytest.raises(EnvironmentValidationError):
+        EnvironmentSpec(
+            generator_set=gen,
+            step_support=((StepDistribution(gen, (0.9, 0.1)), args["step_weight"]),),
+            offspring_support=((OffspringDistribution.point(2), args["offspring_weight"]),),
+            gamma=args["gamma"],
+        )
 
 
 class TestMStar:

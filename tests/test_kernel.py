@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from brwre import (
 )
 
 from oracles import brute_force_return_prob, n_step_return_prob
+
+BOUNDED_JUMPS = GeneratorSet(1, ((2,), (-2,), (1,), (-1,)), ((1,), (-1,)))
 
 
 class TestGeneratorSet:
@@ -62,6 +66,12 @@ class TestStepDistribution:
         with pytest.raises(PreconditionError):
             StepDistribution(z1, (1.0,))
 
+    @pytest.mark.parametrize("weights", [
+        (math.nan, math.nan), (math.nan, 1.0), (math.inf, 0.0), (math.inf, -math.inf)])
+    def test_non_finite_weight_rejected(self, z1, weights):
+        with pytest.raises(PreconditionError):
+            StepDistribution(z1, weights)
+
     def test_drift(self, z1):
         assert StepDistribution(z1, (0.9, 0.1)).drift() == pytest.approx([0.8])
         assert StepDistribution(z1, (0.5, 0.5)).drift() == pytest.approx([0.0])
@@ -101,8 +111,7 @@ class TestNStepReturnProb:
             assert n_step_return_prob(law, n) == pytest.approx(exact, abs=1e-12)
 
     def test_matches_brute_force_bounded_jumps(self):
-        gen = GeneratorSet(1, ((2,), (-2,), (1,), (-1,)), ((1,), (-1,)))
-        law = StepDistribution(gen, (0.2, 0.1, 0.4, 0.3))
+        law = StepDistribution(BOUNDED_JUMPS, (0.2, 0.1, 0.4, 0.3))
         for n in range(1, 8):
             exact = brute_force_return_prob(law, n)
             assert n_step_return_prob(law, n) == pytest.approx(exact, abs=1e-12)
@@ -135,11 +144,17 @@ class TestPowerIteration:
             roots = res.roots
             assert np.all(np.diff(roots) >= -1e-12)
 
-    def test_returns_match_n_step_oracle(self, drifted_law):
-        res = power_iteration_rho(drifted_law, 16)
+    @pytest.mark.parametrize("gen, weights", [
+        pytest.param(GeneratorSet.nearest_neighbor(1), (0.9, 0.1), id="drifted-z1"),
+        pytest.param(GeneratorSet.nearest_neighbor(2), (0.4, 0.1, 0.3, 0.2), id="skewed-z2"),
+        pytest.param(BOUNDED_JUMPS, (0.2, 0.1, 0.4, 0.3), id="bounded-jumps"),
+    ])
+    def test_returns_match_n_step_oracle(self, gen, weights):
+        law = StepDistribution(gen, weights)
+        res = power_iteration_rho(law, 16)
         for k in range(1, 9):
             assert res.returns[k - 1] == pytest.approx(
-                n_step_return_prob(drifted_law, 2 * k), abs=1e-12
+                n_step_return_prob(law, 2 * k), abs=1e-12
             )
 
     def test_no_return_mass_is_diagnosed(self, z1):
